@@ -718,6 +718,10 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
             self.outgoing.clear();
             return Vec::new();
         }
+        // The drain can itself decide: a configuration of one accepts its
+        // own proposal while flushing it. Absorb that now, so the caller
+        // can apply it in this cycle instead of at the next tick.
+        self.pump_active();
         std::mem::take(&mut self.outgoing)
     }
 

@@ -1168,9 +1168,17 @@ impl<S: Storage<KvCommand>> KvNode<S> {
         Ok(upto)
     }
 
-    /// Drain outgoing messages.
+    /// Drain outgoing messages, then apply whatever the drain decided (a
+    /// group of one decides here, not in `handle`), so its results are
+    /// ready for the caller's next [`KvNode::take_results`]. Every drain
+    /// of every node comes through here, so the usual case — nothing
+    /// decided — costs one comparison.
     pub fn outgoing(&mut self) -> Vec<(NodeId, ServiceMsg<KvCommand>)> {
-        self.server.outgoing()
+        let out = self.server.outgoing();
+        if self.server.decided_len() > self.server.applied_cursor() {
+            self.pump();
+        }
+        out
     }
 
     /// Results of commands applied since the last call.

@@ -12,7 +12,7 @@
 //! even a read). Reads are idempotent, so the client simply bumps the
 //! sequence number and issues a fresh one.
 
-use crate::frame::{self, kind};
+use crate::frame::{self, kind, FrameReader};
 use kvstore::{KvCommand, KvOp, KvResult, KvWire, NodeId, ReadMode, TxnSpec, TxnState};
 use omnipaxos::wire::Wire;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -35,6 +35,14 @@ pub const READ_FLAG: u64 = 1 << 63;
 /// record, not the session table — so its seq must never be mistaken for,
 /// or leave a gap in, the contiguous write session.
 pub const TXN_FLAG: u64 = 1 << 62;
+
+/// Pause after a redirect before trying the named leader: mid-election the
+/// hint may point at a node that has not taken over yet, and no event
+/// tells a client when it has.
+const REDIRECT_PAUSE: Duration = Duration::from_millis(20);
+/// Backoff after `Retry` (the server is shedding load) or a socket error
+/// (the server may be down): retrying at once only adds to either.
+const RETRY_PAUSE: Duration = Duration::from_millis(50);
 
 pub struct KvClient {
     servers: Vec<(NodeId, SocketAddr)>,
@@ -126,13 +134,13 @@ impl KvClient {
                 Ok(KvWire::Reply(res)) if res.seq == token => return Ok(res),
                 Ok(KvWire::Redirect { leader }) | Ok(KvWire::ShardRedirect { leader, .. }) => {
                     self.retarget(leader);
-                    std::thread::sleep(Duration::from_millis(20));
+                    std::thread::sleep(REDIRECT_PAUSE);
                 }
                 Ok(_) => {} // stale frame: resend
                 Err(_) => {
                     self.stream = None;
                     self.rotate();
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(RETRY_PAUSE);
                 }
             }
         }
@@ -160,7 +168,7 @@ impl KvClient {
                 Err(_) => {
                     self.stream = None;
                     self.rotate();
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(RETRY_PAUSE);
                 }
             }
         }
@@ -200,7 +208,7 @@ impl KvClient {
                 }
                 Ok(KvWire::Redirect { leader }) | Ok(KvWire::ShardRedirect { leader, .. }) => {
                     self.retarget(leader);
-                    std::thread::sleep(Duration::from_millis(20));
+                    std::thread::sleep(REDIRECT_PAUSE);
                 }
                 Ok(KvWire::Retry { seq }) if seq == token => {
                     // The leader holds no lease (still assembling grants,
@@ -211,7 +219,7 @@ impl KvClient {
                 Err(_) => {
                     self.stream = None;
                     self.rotate();
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(RETRY_PAUSE);
                 }
             }
         }
@@ -245,9 +253,9 @@ impl KvClient {
                 }
                 Ok(KvWire::Redirect { leader }) | Ok(KvWire::ShardRedirect { leader, .. }) => {
                     self.retarget(leader);
-                    std::thread::sleep(Duration::from_millis(20));
+                    std::thread::sleep(REDIRECT_PAUSE);
                 }
-                Ok(KvWire::Retry { .. }) => std::thread::sleep(Duration::from_millis(50)),
+                Ok(KvWire::Retry { .. }) => std::thread::sleep(RETRY_PAUSE),
                 Ok(KvWire::CrossShard { seq }) if seq == self.seq => {
                     // Terminal: a multi-key op whose keys live on
                     // different shards can never succeed as a plain
@@ -261,7 +269,7 @@ impl KvClient {
                 Err(_) => {
                     self.stream = None;
                     self.rotate();
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(RETRY_PAUSE);
                 }
             }
         }
@@ -341,11 +349,11 @@ impl KvClient {
 // Pipelined (open-loop) client
 
 /// One live connection of the pipelined client: the writing socket plus
-/// a reader thread that decodes reply frames into a channel, so the
-/// submit path never blocks on the wire.
+/// a reader thread that decodes reply frames into a channel — one socket
+/// read's worth per item — so the submit path never blocks on the wire.
 struct PipeConn {
     stream: TcpStream,
-    rx: Receiver<KvWire>,
+    rx: Receiver<Vec<KvWire>>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -565,7 +573,7 @@ impl PipelinedKvClient {
         self.transmit();
         while let Some(c) = self.conn.as_ref() {
             match c.rx.try_recv() {
-                Ok(m) => self.on_msg(m, &mut done),
+                Ok(burst) => burst.into_iter().for_each(|m| self.on_msg(m, &mut done)),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     self.fail_conn();
@@ -595,9 +603,9 @@ impl PipelinedKvClient {
                 .min(Duration::from_millis(5));
             match self.conn.as_ref() {
                 Some(c) => match c.rx.recv_timeout(slice) {
-                    Ok(m) => {
+                    Ok(burst) => {
                         let mut done = Vec::new();
-                        self.on_msg(m, &mut done);
+                        burst.into_iter().for_each(|m| self.on_msg(m, &mut done));
                         if !done.is_empty() {
                             return Ok(done);
                         }
@@ -605,6 +613,8 @@ impl PipelinedKvClient {
                     Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => self.fail_conn(),
                 },
+                // No connection means a reconnect backoff gate is running;
+                // there is no channel to block on until `pump` redials.
                 None => std::thread::sleep(slice.min(Duration::from_millis(2))),
             }
         }
@@ -843,19 +853,12 @@ impl PipelinedKvClient {
         let reader = std::thread::Builder::new()
             .name("kv-pipe-reader".into())
             .spawn(move || {
-                let mut r = &r;
+                let mut frames = FrameReader::new(&r);
                 loop {
-                    match frame::read_frame(&mut r) {
-                        Ok(f) if f.kind == kind::KV => {
-                            if let Ok(msg) = KvWire::from_bytes(&f.payload) {
-                                if tx.send(msg).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                        Ok(_) => continue,
-                        Err(e) if !e.is_fatal() => continue,
-                        Err(_) => return,
+                    let mut burst = Vec::new();
+                    let read = frames.read_burst(|f| burst.extend(frame::decode_kind(f, kind::KV)));
+                    if (!burst.is_empty() && tx.send(burst).is_err()) || read.is_err() {
+                        return;
                     }
                 }
             })
@@ -1131,6 +1134,8 @@ impl ShardedKvClient {
             }
             all.extend(self.pump()?);
             if self.in_flight() > 0 {
+                // One reply channel per shard session and no way to block
+                // on several: poll them, yielding briefly in between.
                 std::thread::sleep(Duration::from_micros(200));
             }
         }

@@ -27,7 +27,7 @@
 //!   same way one layer up (the transport), because the frame layer cannot
 //!   know which kinds exist.
 
-use omnipaxos::wire::{checksum_parts, WireError, WIRE_VERSION};
+use omnipaxos::wire::{checksum_parts, Wire, WireError, WIRE_VERSION};
 use std::io::{Read, Write};
 
 /// Frame preamble: "OmniPaxos Wire".
@@ -220,6 +220,109 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     })
 }
 
+/// Initial (and resting) size of a [`FrameReader`]'s buffer: one `read`
+/// takes in a whole pipelined client window or replication fan-in burst.
+pub const BURST_BUF: usize = 64 * 1024;
+
+/// Burst reader for a long-lived connection: one `read` syscall fills a
+/// reusable buffer, then every complete frame in it is decoded through
+/// [`decode_frame`] — where [`read_frame`] costs three reads per frame.
+/// A partial frame at the buffer's end stays put for the next burst; a
+/// frame larger than the buffer grows it for as long as it is in flight.
+pub struct FrameReader<R> {
+    r: R,
+    buf: Vec<u8>,
+    /// Undecoded bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(r: R) -> Self {
+        FrameReader {
+            r,
+            buf: vec![0; BURST_BUF],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Block for one `read`, then hand `on_frame` every frame completed by
+    /// it, in order: `Ok` for an intact frame, `Err` for a droppable one
+    /// (verified envelope, unknown version — the stream stays in sync).
+    /// Returns how many frames were handed over (0 = only a partial frame
+    /// so far). `Err` is fatal, exactly as from [`read_frame`]: EOF
+    /// surfaces as `Truncated`, and frames ahead of a corrupt one in the
+    /// same burst are still delivered first.
+    pub fn read_burst(
+        &mut self,
+        mut on_frame: impl FnMut(Result<Frame, FrameError>),
+    ) -> Result<usize, FrameError> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > BURST_BUF {
+                self.buf.truncate(BURST_BUF);
+                self.buf.shrink_to_fit();
+            }
+        } else if self.start > 0 {
+            // Slide the partial frame to the front so the read below has
+            // the rest of the buffer to fill.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            // One frame fills the buffer and is still incomplete (the last
+            // decode said `Truncated`, so its length field is in bounds).
+            let total = frame_len(&self.buf).expect("a full buffer holds a header");
+            self.buf.resize(total, 0);
+        }
+        let n = loop {
+            match self.r.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(n) => break n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        };
+        self.end += n;
+        let mut frames = 0;
+        loop {
+            let pending = &self.buf[self.start..self.end];
+            match decode_frame(pending) {
+                Ok((frame, used)) => {
+                    self.start += used;
+                    on_frame(Ok(frame));
+                }
+                Err(FrameError::Truncated) => return Ok(frames),
+                Err(e) if !e.is_fatal() => {
+                    self.start += frame_len(pending).expect("envelope verified");
+                    on_frame(Err(e));
+                }
+                Err(e) => return Err(e),
+            }
+            frames += 1;
+        }
+    }
+}
+
+/// What the client-facing readers do with each frame of a burst: keep a
+/// frame of the wanted `kind` whose payload decodes, drop everything else
+/// (unknown kind, unknown version, undecodable payload — all leave the
+/// stream in sync).
+pub(crate) fn decode_kind<M: Wire>(f: Result<Frame, FrameError>, kind: u8) -> Option<M> {
+    let f = f.ok().filter(|f| f.kind == kind)?;
+    M::from_bytes(&f.payload).ok()
+}
+
+/// Total encoded length of the frame whose header starts `buf`, if the
+/// header is complete. The length field is NOT validated here.
+fn frame_len(buf: &[u8]) -> Option<usize> {
+    let len = u32::from_le_bytes(buf.get(6..HEADER_LEN)?.try_into().ok()?);
+    Some(HEADER_LEN + len as usize + TRAILER_LEN)
+}
+
 fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -285,6 +388,47 @@ mod tests {
             Err(FrameError::TooLarge(n)) => assert_eq!(n, u32::MAX),
             other => panic!("expected TooLarge, got {other:?}"),
         }
+    }
+
+    /// Hands out as much as the caller's buffer takes, counting calls.
+    struct CountingRead<'a> {
+        data: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for CountingRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_burst_of_coalesced_frames_costs_one_read() {
+        let mut wire = Vec::new();
+        for i in 0..100u32 {
+            wire.extend(encode_frame(kind::KV, &i.to_le_bytes()));
+        }
+        let mut reader = FrameReader::new(CountingRead {
+            data: &wire,
+            reads: 0,
+        });
+        let mut payloads = Vec::new();
+        let n = reader
+            .read_burst(|f| payloads.push(f.expect("intact").payload))
+            .expect("burst");
+        assert_eq!(n, 100);
+        assert_eq!(reader.r.reads, 1, "100 coalesced frames, one read syscall");
+        let want: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        assert_eq!(payloads, want);
+        // The stream is exhausted: EOF is `Truncated`, as from `read_frame`.
+        assert!(matches!(
+            reader.read_burst(|_| panic!("no frame left")),
+            Err(FrameError::Truncated)
+        ));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 use omnipaxos::NodeId;
 use simulator::{Network, NetworkConfig, SimTime};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Anything a link can hand the replica driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +73,132 @@ impl<T: omnipaxos::Entry> MsgSize for omnipaxos::ServiceMsg<T> {
     }
 }
 
+/// Lock `m`, recovering from poison. Reader and session threads die on
+/// connection errors by design; a panic in one (a bug, but survivable)
+/// must degrade to a dropped session, not take the whole transport down
+/// with it. Every guarded structure here (queues, peer table, session
+/// numbers) stays consistent under poison: each critical section completes
+/// its updates or none matter beyond a lost message.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Who signalled a drive loop's [`Waker`]; indexes its per-source counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WakeSource {
+    /// The replication link queued messages or session events.
+    Link = 0,
+    /// A gateway connection queued client requests.
+    Gateway = 1,
+    /// A `ServerHandle` call was posted.
+    Control = 2,
+}
+
+#[derive(Default)]
+struct WakerInner {
+    /// Set by producers, cleared by the loop *before* it drains its
+    /// queues — so anything queued after the drain finds the flag clear,
+    /// sets it, and the loop's next wait returns at once.
+    signaled: AtomicBool,
+    /// True while the loop is inside [`Waker::wait_until`]; lets `wake`
+    /// skip the condvar syscall when nobody is asleep.
+    asleep: Mutex<bool>,
+    cv: Condvar,
+    wakes: [AtomicU64; 3],
+}
+
+/// The one thing a server's drive loop sleeps on. Producers (socket
+/// reader threads, control handles) call [`Waker::wake`] *after* queueing
+/// their work; the loop clears the flag, drains every queue, and only
+/// then waits — a wake can be early, never lost.
+#[derive(Clone, Default)]
+pub struct Waker(Arc<WakerInner>);
+
+impl Waker {
+    /// Signal the loop. Cheap when it is already signalled or awake.
+    pub fn wake(&self, source: WakeSource) {
+        self.0.wakes[source as usize].fetch_add(1, Ordering::Relaxed);
+        if self.0.signaled.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Taking the lock orders this against the loop's check-then-wait:
+        // either it has not checked yet (and will see the flag), or it is
+        // already waiting (and gets the notify).
+        if *lock_unpoisoned(&self.0.asleep) {
+            self.0.cv.notify_one();
+        }
+    }
+
+    /// Signals sent so far, indexed by [`WakeSource`].
+    pub fn wakes(&self) -> [u64; 3] {
+        [0, 1, 2].map(|i| self.0.wakes[i].load(Ordering::Relaxed))
+    }
+
+    /// Loop side: forget earlier signals. Call before draining.
+    pub(crate) fn clear(&self) {
+        self.0.signaled.store(false, Ordering::SeqCst);
+    }
+
+    /// Loop side: block until signalled or `deadline`. Returns whether a
+    /// signal (rather than the deadline) ended the wait.
+    pub(crate) fn wait_until(&self, deadline: Instant) -> bool {
+        let mut asleep = lock_unpoisoned(&self.0.asleep);
+        *asleep = true;
+        while !self.0.signaled.load(Ordering::SeqCst) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            asleep = self
+                .0
+                .cv
+                .wait_timeout(asleep, left)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
+        }
+        *asleep = false;
+        self.0.signaled.load(Ordering::SeqCst)
+    }
+}
+
+/// A many-producers, one-drive-loop queue: a producer hands over a whole
+/// burst under one lock and signals the loop's [`Waker`] once.
+pub(crate) struct Inbox<T> {
+    source: WakeSource,
+    state: Mutex<(Vec<T>, Option<Waker>)>,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new(source: WakeSource) -> Self {
+        Inbox {
+            source,
+            state: Mutex::new((Vec::new(), None)),
+        }
+    }
+
+    /// Queue `items` and wake the loop (no-op for an empty burst).
+    pub(crate) fn push(&self, items: impl IntoIterator<Item = T>) {
+        let mut state = lock_unpoisoned(&self.state);
+        let before = state.0.len();
+        state.0.extend(items);
+        if state.0.len() > before {
+            if let Some(w) = &state.1 {
+                w.wake(self.source);
+            }
+        }
+    }
+
+    pub(crate) fn drain(&self) -> Vec<T> {
+        std::mem::take(&mut lock_unpoisoned(&self.state).0)
+    }
+
+    /// Install the loop's waker. Items already queued need no signal: a
+    /// drive loop always drains before it first waits.
+    pub(crate) fn set_waker(&self, waker: Waker) {
+        lock_unpoisoned(&self.state).1 = Some(waker);
+    }
+}
+
 /// A node's handle onto the network, simulated or real.
 ///
 /// The contract both backends honor:
@@ -90,6 +218,11 @@ pub trait NetworkLink<M>: Send {
     fn poll(&mut self) -> Vec<LinkEvent<M>>;
     /// Current counters snapshot.
     fn counters(&self) -> LinkCounters;
+    /// Install the drive loop's [`Waker`]: a backend whose events arrive
+    /// on other threads signals it after queueing each burst. The default
+    /// ignores it — a simulated link only changes under its driver's own
+    /// hands, so there is nothing to wake for.
+    fn set_waker(&mut self, _waker: Waker) {}
 }
 
 struct HubState<M> {

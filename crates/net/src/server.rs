@@ -3,18 +3,21 @@
 //!
 //! [`KvServer`] is deliberately sans-I/O-loop: [`KvServer::pump`] runs
 //! one poll→handle→reply→send cycle and [`KvServer::tick`] advances
-//! protocol timers. The binary wraps them in a thread ([`KvServer::run`]);
-//! the deterministic tests call them directly, interleaved with simulated
-//! time — which is how the sim and TCP backends are shown to agree.
+//! protocol timers. The deterministic tests call them directly,
+//! interleaved with simulated time — which is how the sim and TCP
+//! backends are shown to agree. Deployed, [`KvServer::run`] is the one
+//! loop around them: it sleeps on a single [`Waker`] that the link's and
+//! the gateway's reader threads and every [`ServerHandle`] signal, with
+//! the next tick as its deadline.
 //!
 //! Session semantics are wired here: a [`LinkEvent::SessionEstablished`]
 //! calls `reconnected()` on the replica, which re-syncs state with a
 //! `PrepareReq` (paper §4.1.3) because messages from the previous session
 //! may be lost.
 
-use crate::frame::{self, kind, FrameError};
-use crate::link::{LinkEvent, NetworkLink};
-use crate::tcp::lock_unpoisoned;
+use crate::frame::{self, kind, FrameReader};
+use crate::link::{lock_unpoisoned, Inbox, LinkEvent, NetworkLink, WakeSource, Waker};
+use crate::tcp::poke_listener;
 use kvstore::{
     shard_of_key, KvCommand, KvNode, KvWire, ReadMode, ShardedKvNode, TxnCoordinator, TxnId,
     TxnState,
@@ -22,9 +25,9 @@ use kvstore::{
 use omnipaxos::wire::Wire;
 use omnipaxos::{OmniMessage, PaxosMsg, ServiceMsg};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -48,12 +51,13 @@ struct GatewayConn {
 /// Replies are buffered per connection and written from the server
 /// thread at pump boundaries (client traffic is request/reply, so there
 /// is no backpressure problem a writer thread would solve); requests
-/// arrive via per-connection reader threads.
+/// arrive via per-connection reader threads, a whole socket read's worth
+/// at a time.
 pub struct ClientGateway {
-    rx: Receiver<(ConnId, KvWire)>,
+    requests: Arc<Inbox<(ConnId, KvWire)>>,
     conns: Arc<Mutex<HashMap<ConnId, GatewayConn>>>,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
     /// Coalesced reply writes issued / reply frames carried by them.
     reply_batches: u64,
@@ -64,22 +68,22 @@ impl ClientGateway {
     /// Serve client connections on `listener`.
     pub fn bind(listener: TcpListener) -> std::io::Result<Self> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::channel();
+        let requests = Arc::new(Inbox::new(WakeSource::Gateway));
         let conns: Arc<Mutex<HashMap<ConnId, GatewayConn>>> = Arc::new(Mutex::new(HashMap::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let accept = {
+        let acceptor = {
+            let requests = Arc::clone(&requests);
             let conns = Arc::clone(&conns);
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("kv-gateway".into())
-                .spawn(move || gateway_accept(listener, tx, conns, shutdown))?
+                .spawn(move || gateway_accept(listener, requests, conns, shutdown))?
         };
         Ok(ClientGateway {
-            rx,
+            requests,
             conns,
             shutdown,
-            threads: vec![accept],
+            acceptor: Some(acceptor),
             local_addr,
             reply_batches: 0,
             reply_frames: 0,
@@ -93,7 +97,12 @@ impl ClientGateway {
 
     /// Drain requests received since the last call.
     pub fn poll(&mut self) -> Vec<(ConnId, KvWire)> {
-        self.rx.try_iter().collect()
+        self.requests.drain()
+    }
+
+    /// Have the connection readers signal `waker` after queueing requests.
+    pub(crate) fn set_waker(&mut self, waker: Waker) {
+        self.requests.set_waker(waker);
     }
 
     /// Queue `msg` for a client connection. Nothing hits the socket until
@@ -145,75 +154,135 @@ impl Drop for ClientGateway {
         for (_, c) in lock_unpoisoned(&self.conns).drain() {
             let _ = c.stream.shutdown(std::net::Shutdown::Both);
         }
-        for h in self.threads.drain(..) {
-            let _ = h.join();
+        // The acceptor blocks in `accept`; if the wake-up connection cannot
+        // be made it stays detached rather than hanging this drop.
+        if poke_listener(self.local_addr) {
+            if let Some(h) = self.acceptor.take() {
+                let _ = h.join();
+            }
         }
     }
 }
 
 fn gateway_accept(
     listener: TcpListener,
-    tx: Sender<(ConnId, KvWire)>,
+    requests: Arc<Inbox<(ConnId, KvWire)>>,
     conns: Arc<Mutex<HashMap<ConnId, GatewayConn>>>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let next_id = AtomicU64::new(1);
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let id = next_id.fetch_add(1, Ordering::Relaxed);
-                // fd exhaustion can fail the dup; drop the connection and
-                // let the client's retry loop come back when it clears.
-                let Ok(reader) = stream.try_clone() else {
-                    continue;
-                };
-                lock_unpoisoned(&conns).insert(
-                    id,
-                    GatewayConn {
-                        stream,
-                        wbuf: Vec::new(),
-                    },
-                );
-                let tx = tx.clone();
-                let conns = Arc::clone(&conns);
-                // Reader threads exit on connection error; on gateway
-                // drop the sockets are shut down, which unblocks them.
-                let _ = std::thread::Builder::new()
-                    .name(format!("kv-conn-{id}"))
-                    .spawn(move || {
-                        let mut r = &reader;
-                        loop {
-                            match frame::read_frame(&mut r) {
-                                Ok(f) if f.kind == kind::KV => {
-                                    match KvWire::from_bytes(&f.payload) {
-                                        Ok(msg) => {
-                                            if tx.send((id, msg)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        Err(_) => continue, // drop, stay in sync
-                                    }
-                                }
-                                Ok(_) => continue, // unknown kind: drop
-                                Err(e) if !FrameError::is_fatal(&e) => continue,
-                                Err(_) => break,
-                            }
-                        }
-                        lock_unpoisoned(&conns).remove(&id);
-                    });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10))
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+    let mut next_id: ConnId = 0;
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return; // woken by `poke_listener`
         }
+        let Ok((stream, _)) = accepted else {
+            // fd exhaustion fails `accept` at once, over and over; breathe
+            // until connections close rather than spin on the error.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        let _ = stream.set_nodelay(true);
+        // fd exhaustion can fail the dup; drop the connection and let the
+        // client's retry loop come back when it clears.
+        let Ok(reader) = stream.try_clone() else {
+            continue;
+        };
+        next_id += 1;
+        let id = next_id;
+        lock_unpoisoned(&conns).insert(
+            id,
+            GatewayConn {
+                stream,
+                wbuf: Vec::new(),
+            },
+        );
+        let requests = Arc::clone(&requests);
+        let conns = Arc::clone(&conns);
+        // Reader threads exit on connection error; on gateway drop the
+        // sockets are shut down, which unblocks them.
+        let _ = std::thread::Builder::new()
+            .name(format!("kv-conn-{id}"))
+            .spawn(move || {
+                let mut frames = FrameReader::new(&reader);
+                let mut burst = Vec::new();
+                loop {
+                    let read = frames.read_burst(|f| {
+                        burst.extend(frame::decode_kind(f, kind::KV).map(|msg| (id, msg)));
+                    });
+                    // One lock, one wake for everything this read carried:
+                    // a pipelined window arrives as one admission batch.
+                    requests.push(burst.drain(..));
+                    if read.is_err() {
+                        break;
+                    }
+                }
+                lock_unpoisoned(&conns).remove(&id);
+            });
     }
 }
 
 /// Default bound on commands in flight per shard; past it new requests
 /// are shed with [`KvWire::Retry`] instead of growing the queue.
 pub const DEFAULT_MAX_PENDING: usize = 4096;
+
+/// A call posted through a [`ServerHandle`], run by [`KvServer::run`].
+type Call<L> = Box<dyn FnOnce(&mut KvServer<L>) + Send>;
+
+/// Remote control for a server inside [`KvServer::run`]: closures posted
+/// here execute on the server's own thread, between pump cycles, and wake
+/// the loop like any other event. This is how tests and operators inspect
+/// or perturb a running server without a drive loop of their own.
+pub struct ServerHandle<L> {
+    calls: Sender<Call<L>>,
+    waker: Waker,
+}
+
+impl<L> Clone for ServerHandle<L> {
+    fn clone(&self) -> Self {
+        ServerHandle {
+            calls: self.calls.clone(),
+            waker: self.waker.clone(),
+        }
+    }
+}
+
+impl<L> ServerHandle<L> {
+    /// Run `f` on the server's thread and return its result. Blocks until
+    /// the loop gets to it (so: only while `run` is active); `None` if the
+    /// server was dropped first.
+    pub fn call<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut KvServer<L>) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (tx, rx) = mpsc::channel();
+        let call: Call<L> = Box::new(move |server| {
+            let _ = tx.send(f(server));
+        });
+        self.calls.send(call).ok()?;
+        self.waker.wake(WakeSource::Control);
+        rx.recv().ok()
+    }
+}
+
+/// What [`KvServer::run`] has done so far — enough to tell an event-driven
+/// loop from a spinning or an oversleeping one.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LoopStats {
+    /// Pump cycles run, and how many of them found work.
+    pub pumps: u64,
+    pub busy_pumps: u64,
+    pub ticks: u64,
+    /// Times the loop went to sleep, and how many of those sleeps ran into
+    /// the tick deadline instead of being woken.
+    pub parks: u64,
+    pub timeouts: u64,
+    /// Wake signals sent by the link's readers, the gateway's readers and
+    /// [`ServerHandle`] calls.
+    pub wakes_link: u64,
+    pub wakes_gateway: u64,
+    pub wakes_control: u64,
+}
 
 /// One kv server: per-shard replicas + shared replication link + optional
 /// client gateway. Every shard's consensus traffic rides the same link
@@ -278,6 +347,11 @@ pub struct KvServer<L> {
     pending_txns: HashMap<TxnId, ConnId>,
     /// Multi-key requests rejected because their keys span shards.
     cross_shard_rejects: u64,
+    /// What [`KvServer::run`] sleeps on; installed on the link and the
+    /// gateway so their reader threads can end that sleep.
+    waker: Waker,
+    calls: (Sender<Call<L>>, Receiver<Call<L>>),
+    stats: LoopStats,
 }
 
 impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
@@ -289,8 +363,10 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
 
     /// A server over a sharded node: one consensus group per shard,
     /// multiplexed over this server's single link.
-    pub fn new_sharded(node: ShardedKvNode, link: L) -> Self {
+    pub fn new_sharded(node: ShardedKvNode, mut link: L) -> Self {
         let n = node.n_shards();
+        let waker = Waker::default();
+        link.set_waker(waker.clone());
         // The boot-time nonce keeps this incarnation's coordinator
         // identity distinct from any predecessor whose proposals may
         // still be in flight in the shards' logs.
@@ -316,13 +392,38 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             txn,
             pending_txns: HashMap::new(),
             cross_shard_rejects: 0,
+            waker,
+            calls: mpsc::channel(),
+            stats: LoopStats::default(),
         }
     }
 
     /// Attach the client-facing gateway.
-    pub fn with_gateway(mut self, gateway: ClientGateway) -> Self {
+    pub fn with_gateway(mut self, mut gateway: ClientGateway) -> Self {
+        gateway.set_waker(self.waker.clone());
         self.gateway = Some(gateway);
         self
+    }
+
+    /// A handle for posting calls to this server once it is in
+    /// [`KvServer::run`].
+    pub fn handle(&self) -> ServerHandle<L> {
+        ServerHandle {
+            calls: self.calls.0.clone(),
+            waker: self.waker.clone(),
+        }
+    }
+
+    /// Counters of [`KvServer::run`]'s loop (all zero for a server driven
+    /// by hand through `pump`/`tick`).
+    pub fn loop_stats(&self) -> LoopStats {
+        let [wakes_link, wakes_gateway, wakes_control] = self.waker.wakes();
+        LoopStats {
+            wakes_link,
+            wakes_gateway,
+            wakes_control,
+            ..self.stats
+        }
     }
 
     /// Cap the in-flight command queue (default
@@ -390,7 +491,8 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
     }
 
     /// Install a (new) transport after [`KvServer::kill_transport`].
-    pub fn set_transport(&mut self, link: L) {
+    pub fn set_transport(&mut self, mut link: L) {
+        link.set_waker(self.waker.clone());
         self.link = Some(link);
     }
 
@@ -410,9 +512,15 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
     /// outgoing replication traffic and buffered client replies.
     ///
     /// Returns the number of units of work done (messages handled,
-    /// requests served, results delivered); drivers use it to spin while
-    /// busy and sleep only when idle.
+    /// requests served, results delivered).
     pub fn pump(&mut self) -> usize {
+        self.cycle().0
+    }
+
+    /// [`KvServer::pump`], also reporting whether anything was sent to
+    /// peers — [`KvServer::run`] sleeps only after a cycle that neither
+    /// handled nor sent anything.
+    fn cycle(&mut self) -> (usize, bool) {
         let mut work = 0;
         if let Some(link) = self.link.as_mut() {
             for ev in link.poll() {
@@ -438,23 +546,36 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             }
         }
         work += self.serve_clients();
-        work += self.deliver_results();
-        self.flush();
-        if let Some(g) = self.gateway.as_mut() {
-            g.flush_replies();
-        }
-        work
+        let (delivered, sent) = self.settle();
+        (work + delivered, sent)
     }
 
     /// Advance protocol timers (election, heartbeats, resends).
     pub fn tick(&mut self) {
         self.node.tick();
         self.txn.tick(&mut self.node);
-        self.deliver_results();
-        self.flush();
+        self.settle();
+    }
+
+    /// The tail of every cycle: deliver results, flush outgoing traffic,
+    /// and repeat while the flush itself produced results — a group of one
+    /// decides its own proposal inside the flush, and a decided 2PC record
+    /// makes the coordinator propose the next. Then write the replies, so
+    /// nothing a cycle caused is left waiting for the next event.
+    fn settle(&mut self) -> (usize, bool) {
+        let mut delivered = self.deliver_results();
+        let mut sent = false;
+        loop {
+            sent |= self.flush();
+            match self.deliver_results() {
+                0 => break,
+                n => delivered += n,
+            }
+        }
         if let Some(g) = self.gateway.as_mut() {
             g.flush_replies();
         }
+        (delivered, sent)
     }
 
     fn serve_clients(&mut self) -> usize {
@@ -767,30 +888,55 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
         n
     }
 
-    fn flush(&mut self) {
+    /// Hand the replica's outgoing messages to the link; true if any.
+    fn flush(&mut self) -> bool {
+        let out = self.node.outgoing();
         let Some(link) = self.link.as_mut() else {
-            self.node.outgoing(); // drain and drop: transport is dead
-            return;
+            return false; // drained and dropped: transport is dead
         };
-        for (to, msg) in self.node.outgoing() {
+        let sent = !out.is_empty();
+        for (to, msg) in out {
             link.send(to, msg);
         }
+        sent
     }
 
-    /// Drive the server until `stop` is set: pump continuously, tick
-    /// every `tick_every`. Busy cycles run back to back (open-loop load
-    /// turns around in microseconds, not scheduler quanta); only an idle
-    /// cycle sleeps.
+    /// Drive the server until `stop` is set, ticking every `tick_every`.
+    ///
+    /// The loop is event-driven: after a cycle that found nothing to do it
+    /// sleeps on the server's [`Waker`] until a reader thread queues link
+    /// events or client requests, a [`ServerHandle`] posts a call, or the
+    /// next tick is due — whichever comes first, so `stop` is noticed
+    /// within one tick. No wake-up can be lost: the flag is cleared
+    /// *before* the queues are drained, and producers set it *after*
+    /// queueing, so work that misses this cycle's drain ends the sleep
+    /// that follows it.
     pub fn run(mut self, tick_every: Duration, stop: Arc<AtomicBool>) -> Self {
-        let mut last_tick = Instant::now();
+        let mut next_tick = Instant::now() + tick_every;
         while !stop.load(Ordering::SeqCst) {
-            let work = self.pump();
-            if last_tick.elapsed() >= tick_every {
-                last_tick = Instant::now();
+            self.waker.clear();
+            let mut busy = false;
+            while let Ok(call) = self.calls.1.try_recv() {
+                call(&mut self);
+                busy = true;
+            }
+            let now = Instant::now();
+            if now >= next_tick {
+                next_tick = now + tick_every;
+                self.stats.ticks += 1;
                 self.tick();
             }
-            if work == 0 {
-                std::thread::sleep(Duration::from_millis(1));
+            let (work, sent) = self.cycle();
+            self.stats.pumps += 1;
+            if work > 0 {
+                self.stats.busy_pumps += 1;
+            }
+            if busy || sent || work > 0 {
+                continue;
+            }
+            self.stats.parks += 1;
+            if !self.waker.wait_until(next_tick) {
+                self.stats.timeouts += 1;
             }
         }
         self
@@ -806,5 +952,71 @@ fn is_prepare_req<T: omnipaxos::Entry>(msg: &ServiceMsg<T>) -> bool {
             ..
         } => matches!(m.msg, PaxosMsg::PrepareReq),
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::SimHub;
+    use kvstore::{KvCommand, KvOp};
+    use simulator::NetworkConfig;
+
+    /// A group of one decides inside its own flush. The same pump cycle
+    /// must apply that and write the reply — under `run` nothing else
+    /// would wake the loop before the next tick.
+    #[test]
+    fn solo_replica_replies_in_the_cycle_that_received_the_request() {
+        let hub = SimHub::new(NetworkConfig {
+            nodes: vec![1],
+            default_latency_us: 1_000,
+            jitter_us: 0,
+            nic_bytes_per_sec: None,
+            priority_bytes: 0,
+            seed: 1,
+        });
+        let gateway = ClientGateway::bind(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        let addr = gateway.local_addr();
+        let mut server = KvServer::new(KvNode::new(1, vec![1]), hub.link(1)).with_gateway(gateway);
+        for _ in 0..100 {
+            server.tick();
+        }
+        assert!(server.node().is_leader(0), "a group of one elects itself");
+
+        let client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let request = KvWire::Request(KvCommand {
+            client: 7,
+            seq: 1,
+            op: KvOp::Put {
+                key: "k".into(),
+                value: 42,
+            },
+        });
+        frame::write_frame(&mut &client, kind::KV, &request.to_bytes()).unwrap();
+        // The connection's reader signals the waker once the request is
+        // queued; that signal is the only thing waited for.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.loop_stats().wakes_gateway == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "request never reached the gateway"
+            );
+            std::thread::yield_now();
+        }
+
+        assert!(
+            server.pump() >= 2,
+            "one request served, one result delivered"
+        );
+        let reply = frame::read_frame(&mut &client).expect("reply written by that one pump");
+        match KvWire::from_bytes(&reply.payload) {
+            Ok(KvWire::Reply(res)) => {
+                assert_eq!((res.client, res.seq, res.applied), (7, 1, true));
+            }
+            other => panic!("expected a reply, got {other:?}"),
+        }
     }
 }

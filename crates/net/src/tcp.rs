@@ -17,13 +17,15 @@
 //!
 //! ## Threads
 //!
-//! * one **acceptor** (nonblocking accept loop),
+//! * one **acceptor** (blocking `accept`; shutdown unblocks it with a
+//!   throwaway self-connection),
 //! * one **dialer** per peer with larger pid (connect → handshake → hand
 //!   the socket to a session; retry with backoff),
 //! * per live session, a **writer** (drains the send queue, emits
 //!   heartbeats when idle, enforces the dead-session timeout) and a
-//!   **reader** (blocking frame decode; unblocked on teardown by the
-//!   writer shutting the socket down).
+//!   **reader** (one blocking `read` per burst, every complete frame in
+//!   it decoded and queued under one lock with one wake of the drive
+//!   loop; unblocked on teardown by the writer shutting the socket down).
 //!
 //! Dead sessions are detected by silence: any complete frame refreshes
 //! `last_rx`; if nothing arrives for `heartbeat_timeout`, the writer
@@ -38,27 +40,29 @@
 //! an unverifiable envelope (bad magic / checksum / truncation) tears the
 //! connection down — at that point framing sync is gone.
 
-use crate::frame::{self, kind};
-use crate::link::{LinkCounters, LinkEvent, NetworkLink};
+use crate::frame::{self, kind, FrameReader};
+use crate::link::{
+    lock_unpoisoned, Inbox, LinkCounters, LinkEvent, NetworkLink, WakeSource, Waker,
+};
 use omnipaxos::wire::{BatchCache, Wire};
 use omnipaxos::NodeId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Lock `m`, recovering from poison. Session threads die on connection
-/// errors by design; a panic in one (a bug, but survivable) must degrade
-/// to a dropped session, not take the whole transport down with it. The
-/// guarded state (peer table, session numbers, event queue) stays
-/// consistent under poison: every critical section completes its updates
-/// or none matter beyond a lost message.
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Unblock a thread parked in `accept` on the listener bound to `addr` by
+/// connecting to it once (the accept loop re-checks its shutdown flag on
+/// every return). Returns whether the connection was made.
+pub(crate) fn poke_listener(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(Ipv4Addr::LOCALHOST.into());
+    }
+    TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
 }
 
 /// Transport tuning knobs.
@@ -143,7 +147,7 @@ struct Shared<M> {
     peers: Mutex<HashMap<NodeId, PeerSession>>,
     /// Last session number seen per peer — handshake monotonicity state.
     sessions: Mutex<HashMap<NodeId, u64>>,
-    events: Mutex<VecDeque<LinkEvent<M>>>,
+    events: Inbox<LinkEvent<M>>,
     counters: AtomicCounters,
     shutdown: AtomicBool,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -152,7 +156,7 @@ struct Shared<M> {
 
 impl<M> Shared<M> {
     fn push_event(&self, ev: LinkEvent<M>) {
-        lock_unpoisoned(&self.events).push_back(ev);
+        self.events.push([ev]);
     }
 
     fn now_ms(&self) -> u64 {
@@ -166,6 +170,8 @@ pub struct TcpTransport<M> {
     shared: Arc<Shared<M>>,
     cache: BatchCache,
     local_addr: SocketAddr,
+    /// Joined only after [`poke_listener`] got through to it.
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl<M: Wire + Send + 'static> TcpTransport<M> {
@@ -185,6 +191,8 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             match TcpListener::bind(addr) {
                 Ok(l) => break l,
                 Err(e) if e.kind() == ErrorKind::AddrInUse && Instant::now() < deadline => {
+                    // No event to wait on: the OS frees the address when
+                    // the previous owner's sockets finish closing.
                     std::thread::sleep(Duration::from_millis(50));
                 }
                 Err(e) => return Err(e),
@@ -202,13 +210,12 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         cfg: TcpConfig,
     ) -> std::io::Result<Self> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             pid,
             cfg,
             peers: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
-            events: Mutex::new(VecDeque::new()),
+            events: Inbox::new(WakeSource::Link),
             counters: AtomicCounters::default(),
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
@@ -217,54 +224,39 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
 
         // Startup spawn failures (fd/thread exhaustion) are the one place
         // errors surface to the caller: a transport missing its acceptor
-        // or a dialer would be silently partitioned forever. Tear down
-        // whatever already started and report.
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
-        let abort = |shared: &Arc<Shared<M>>, handles: Vec<JoinHandle<()>>, e: std::io::Error| {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            for h in handles {
-                let _ = h.join();
-            }
-            Err(e)
+        // or a dialer would be silently partitioned forever. Dropping
+        // `transport` on the way out tears down whatever already started.
+        let shared2 = Arc::clone(&shared);
+        let acceptor = std::thread::Builder::new()
+            .name(format!("net-accept-{pid}"))
+            .spawn(move || accept_loop(shared2, listener))?;
+        let transport = TcpTransport {
+            shared,
+            cache: BatchCache::new(),
+            local_addr,
+            acceptor: Some(acceptor),
         };
-        {
-            let shared2 = Arc::clone(&shared);
-            match std::thread::Builder::new()
-                .name(format!("net-accept-{pid}"))
-                .spawn(move || accept_loop(shared2, listener))
-            {
-                Ok(h) => handles.push(h),
-                Err(e) => return abort(&shared, handles, e),
-            }
-        }
         // Dialing rule: smaller pid dials larger, so each pair has one owner.
         for (&peer, &peer_addr) in &addrs {
             if peer <= pid {
                 continue;
             }
-            let shared2 = Arc::clone(&shared);
-            match std::thread::Builder::new()
+            let shared2 = Arc::clone(&transport.shared);
+            let dialer = std::thread::Builder::new()
                 .name(format!("net-dial-{pid}-{peer}"))
-                .spawn(move || dial_loop(shared2, peer, peer_addr))
-            {
-                Ok(h) => handles.push(h),
-                Err(e) => return abort(&shared, handles, e),
-            }
+                .spawn(move || dial_loop(shared2, peer, peer_addr))?;
+            lock_unpoisoned(&transport.shared.threads).push(dialer);
         }
-        lock_unpoisoned(&shared.threads).extend(handles);
-
-        Ok(TcpTransport {
-            shared,
-            cache: BatchCache::new(),
-            local_addr,
-        })
+        Ok(transport)
     }
 
     /// The bound replication address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
+}
 
+impl<M> TcpTransport<M> {
     /// Stop all threads and close all sockets. Idempotent; also runs on
     /// drop. After this the transport sends nothing and polls nothing.
     pub fn shutdown(&mut self) {
@@ -273,6 +265,13 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         }
         for (_, sess) in lock_unpoisoned(&self.shared.peers).drain() {
             let _ = sess.stream.shutdown(std::net::Shutdown::Both);
+        }
+        // The acceptor blocks in `accept`; if the wake-up connection cannot
+        // be made it stays detached rather than hanging this call.
+        if poke_listener(self.local_addr) {
+            if let Some(h) = self.acceptor.take() {
+                let _ = h.join();
+            }
         }
         let handles: Vec<_> = lock_unpoisoned(&self.shared.threads).drain(..).collect();
         for h in handles {
@@ -283,16 +282,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
 
 impl<M> Drop for TcpTransport<M> {
     fn drop(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for (_, sess) in lock_unpoisoned(&self.shared.peers).drain() {
-            let _ = sess.stream.shutdown(std::net::Shutdown::Both);
-        }
-        let handles: Vec<_> = lock_unpoisoned(&self.shared.threads).drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -338,11 +328,15 @@ impl<M: Wire + Send + 'static> NetworkLink<M> for TcpTransport<M> {
     fn poll(&mut self) -> Vec<LinkEvent<M>> {
         // Cycle boundary for the batch-encoding cache (see BatchCache).
         self.cache.reset();
-        lock_unpoisoned(&self.shared.events).drain(..).collect()
+        self.shared.events.drain()
     }
 
     fn counters(&self) -> LinkCounters {
         self.shared.counters.snapshot()
+    }
+
+    fn set_waker(&mut self, waker: Waker) {
+        self.shared.events.set_waker(waker);
     }
 }
 
@@ -350,32 +344,34 @@ impl<M: Wire + Send + 'static> NetworkLink<M> for TcpTransport<M> {
 // connection establishment
 
 fn accept_loop<M: Wire + Send + 'static>(shared: Arc<Shared<M>>, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Every socket runs with TCP_NODELAY from the moment it
-                // exists: replication frames are latency-critical and the
-                // writer already coalesces, so Nagle only adds delay.
-                let _ = stream.set_nodelay(true);
-                let shared2 = Arc::clone(&shared);
-                match std::thread::Builder::new()
-                    .name(format!("net-hs-{}", shared.pid))
-                    .spawn(move || {
-                        if let Some((peer, session)) = handshake_accept(&shared2, &stream) {
-                            run_session(shared2, peer, session, stream);
-                        }
-                    }) {
-                    Ok(h) => lock_unpoisoned(&shared.threads).push(h),
-                    // Thread exhaustion: drop this connection (the stream
-                    // moved into the failed spawn and closes) and breathe;
-                    // the peer's dialer will retry with backoff.
-                    Err(_) => std::thread::sleep(Duration::from_millis(50)),
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return; // woken by `poke_listener`
+        }
+        let Ok((stream, _)) = accepted else {
+            // fd exhaustion fails `accept` at once, over and over; breathe
+            // until connections close rather than spin on the error.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        // Every socket runs with TCP_NODELAY from the moment it exists:
+        // replication frames are latency-critical and the writer already
+        // coalesces, so Nagle only adds delay.
+        let _ = stream.set_nodelay(true);
+        let shared2 = Arc::clone(&shared);
+        match std::thread::Builder::new()
+            .name(format!("net-hs-{}", shared.pid))
+            .spawn(move || {
+                if let Some((peer, session)) = handshake_accept(&shared2, &stream) {
+                    run_session(shared2, peer, session, stream);
                 }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }) {
+            Ok(h) => lock_unpoisoned(&shared.threads).push(h),
+            // Thread exhaustion: drop this connection (the stream moved
+            // into the failed spawn and closes) and breathe; the peer's
+            // dialer will retry with backoff.
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
 }
@@ -389,6 +385,8 @@ fn dial_loop<M: Wire + Send + 'static>(shared: Arc<Shared<M>>, peer: NodeId, add
         // Only dial when no session to this peer is live.
         let connected = lock_unpoisoned(&shared.peers).contains_key(&peer);
         if connected {
+            // A session this dialer did not start (a racing reconnect the
+            // peer superseded); re-check at the pace a dead one is noticed.
             std::thread::sleep(shared.cfg.heartbeat_interval);
             backoff = shared.cfg.backoff_base;
             continue;
@@ -654,50 +652,41 @@ fn read_loop<M: Wire + Send + 'static>(
     stream: TcpStream,
     last_rx: Arc<AtomicU64>,
 ) {
-    let mut r = &stream;
+    let mut reader = FrameReader::new(&stream);
+    let mut burst = Vec::new();
     loop {
-        match frame::read_frame(&mut r) {
-            Ok(f) => {
-                last_rx.store(shared.now_ms(), Ordering::Relaxed);
-                match f.kind {
-                    kind::HEARTBEAT => {}
-                    kind::MSG => match M::from_bytes(&f.payload) {
-                        Ok(msg) => {
-                            shared
-                                .counters
-                                .msgs_received
-                                .fetch_add(1, Ordering::Relaxed);
-                            shared.push_event(LinkEvent::Message { from: peer, msg });
-                        }
-                        Err(_) => {
-                            // Intact envelope, unintelligible payload:
-                            // drop + count (forward-compat contract).
-                            shared
-                                .counters
-                                .frames_dropped
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                    _ => {
-                        shared
-                            .counters
-                            .frames_dropped
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e) if !e.is_fatal() => {
-                last_rx.store(shared.now_ms(), Ordering::Relaxed);
-                shared
-                    .counters
-                    .frames_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => return,
+        let mut dropped = 0;
+        let read = reader.read_burst(|f| match f {
+            Ok(f) if f.kind == kind::HEARTBEAT => {}
+            Ok(f) if f.kind == kind::MSG => match M::from_bytes(&f.payload) {
+                Ok(msg) => burst.push(LinkEvent::Message { from: peer, msg }),
+                // Intact envelope, unintelligible payload: drop + count
+                // (forward-compat contract).
+                Err(_) => dropped += 1,
+            },
+            // Unknown kind or unknown version: same contract.
+            Ok(_) | Err(_) => dropped += 1,
+        });
+        if matches!(read, Ok(n) if n > 0) {
+            // Any intact frame — heartbeat, message or droppable — proves
+            // the peer alive.
+            last_rx.store(shared.now_ms(), Ordering::Relaxed);
+        }
+        let c = &shared.counters;
+        c.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
+        c.msgs_received
+            .fetch_add(burst.len() as u64, Ordering::Relaxed);
+        // The whole burst goes over under one lock with one wake, so what
+        // the peer sent as one batch the drive loop handles as one.
+        shared.events.push(burst.drain(..));
+        if read.is_err() {
+            return;
         }
     }
 }
 
+/// Dial backoff: there is no event to wait for (the peer is down), only
+/// shutdown to notice promptly.
 fn sleep_unless_shutdown<M>(shared: &Arc<Shared<M>>, total: Duration) {
     let deadline = Instant::now() + total;
     while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
@@ -817,6 +806,76 @@ mod tests {
             second.unwrap() > first.unwrap(),
             "sessions must be monotone: {first:?} -> {second:?}"
         );
+    }
+
+    /// The burst reader keeps the frame-at-a-time reader's bookkeeping:
+    /// every intact frame — droppable ones included — refreshes `last_rx`,
+    /// droppable frames are counted, and the messages of one socket read
+    /// reach the drive loop together, behind one wake.
+    #[test]
+    fn read_loop_hands_over_a_burst_and_keeps_liveness_accounting() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let shared = Arc::new(Shared::<KvWire> {
+            pid: 1,
+            cfg: TcpConfig::default(),
+            peers: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(HashMap::new()),
+            events: Inbox::new(WakeSource::Link),
+            counters: AtomicCounters::default(),
+            shutdown: AtomicBool::new(false),
+            threads: Mutex::new(Vec::new()),
+            epoch: Instant::now() - Duration::from_secs(1),
+        });
+        let waker = Waker::default();
+        shared.events.set_waker(waker.clone());
+        let last_rx = Arc::new(AtomicU64::new(0));
+        let reader = {
+            let (shared, last_rx) = (Arc::clone(&shared), Arc::clone(&last_rx));
+            std::thread::spawn(move || read_loop(shared, 2, stream, last_rx))
+        };
+
+        // A sealed frame from the future alone: dropped, counted, alive.
+        let mut future = frame::encode_frame(kind::MSG, &KvWire::Retry { seq: 0 }.to_bytes());
+        future[4] = 9;
+        let n = future.len();
+        let crc = omnipaxos::wire::checksum_parts(&[&future[4..n - 4]]);
+        future[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        peer.write_all(&future).unwrap();
+        wait_for(
+            || shared.counters.snapshot().frames_dropped == 1,
+            "the droppable frame",
+        );
+        assert!(last_rx.load(Ordering::Relaxed) >= 1_000, "dropped ⇒ alive");
+        assert_eq!(waker.wakes(), [0; 3], "nothing queued, nobody woken");
+
+        // Heartbeat + unknown kind + three messages in one write.
+        let mut wire = frame::encode_frame(kind::HEARTBEAT, &[]);
+        wire.extend(frame::encode_frame(0xEE, b"?"));
+        for seq in 1..=3 {
+            wire.extend(frame::encode_frame(
+                kind::MSG,
+                &KvWire::Retry { seq }.to_bytes(),
+            ));
+        }
+        peer.write_all(&wire).unwrap();
+        wait_for(
+            || shared.counters.snapshot().msgs_received == 3,
+            "the three messages",
+        );
+        let want: Vec<_> = (1..=3)
+            .map(|seq| LinkEvent::Message {
+                from: 2,
+                msg: KvWire::Retry { seq },
+            })
+            .collect();
+        assert_eq!(shared.events.drain(), want);
+        assert_eq!(shared.counters.snapshot().frames_dropped, 2);
+        assert_eq!(waker.wakes(), [1, 0, 0], "one burst, one wake");
+
+        drop(peer); // EOF is fatal: the reader returns
+        reader.join().unwrap();
     }
 
     #[test]

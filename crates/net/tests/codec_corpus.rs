@@ -705,6 +705,193 @@ fn future_version_is_droppable_when_sealed() {
     }
 }
 
+/// A `Read` that hands a byte sequence out in chunks of the given sizes
+/// (cycled) — what a TCP stream is free to do to it.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: Vec<usize>,
+    reads: usize,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.reads % self.sizes.len()];
+        self.reads += 1;
+        let n = size.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// What a reader does with one frame: deliver it, or drop it and stay in
+/// sync (sealed envelope, unknown version).
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Frame(frame::Frame),
+    Dropped(u8),
+}
+
+type Fatal = std::mem::Discriminant<FrameError>;
+
+/// The reference: `decode_frame` over the whole byte sequence, one frame
+/// at a time, until the first fatal error (end of input is `Truncated`).
+fn one_at_a_time(mut bytes: &[u8]) -> (Vec<Outcome>, Fatal) {
+    let mut out = Vec::new();
+    loop {
+        match frame::decode_frame(bytes) {
+            Ok((f, used)) => {
+                out.push(Outcome::Frame(f));
+                bytes = &bytes[used..];
+            }
+            Err(FrameError::BadVersion(v)) => {
+                out.push(Outcome::Dropped(v));
+                let len = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
+                bytes = &bytes[frame::HEADER_LEN + len + frame::TRAILER_LEN..];
+            }
+            Err(e) => {
+                assert!(e.is_fatal());
+                return (out, std::mem::discriminant(&e));
+            }
+        }
+    }
+}
+
+/// The burst reader over the same bytes, chopped up by `sizes`.
+fn in_bursts(bytes: &[u8], sizes: Vec<usize>) -> (Vec<Outcome>, Fatal) {
+    let mut reader = frame::FrameReader::new(Chunked {
+        data: bytes,
+        sizes,
+        reads: 0,
+    });
+    let mut out = Vec::new();
+    loop {
+        let read = reader.read_burst(|f| {
+            out.push(match f {
+                Ok(f) => Outcome::Frame(f),
+                Err(FrameError::BadVersion(v)) => Outcome::Dropped(v),
+                Err(e) => panic!("fatal error handed to the frame callback: {e}"),
+            })
+        });
+        if let Err(e) = read {
+            assert!(e.is_fatal());
+            return (out, std::mem::discriminant(&e));
+        }
+    }
+}
+
+/// The burst reader is the frame-at-a-time reader, however the stream is
+/// chopped up: same frames in the same order, same droppable-vs-fatal
+/// split, same fatal error — with frames straddling the buffer's end, a
+/// frame several times the buffer's size, and corruption mid-stream.
+#[test]
+fn burst_reader_equals_frame_at_a_time_reader() {
+    let frames: Vec<Vec<u8>> = sample_frames().into_iter().map(|(_, b)| b).collect();
+    let reseal = |f: &mut Vec<u8>| {
+        let n = f.len();
+        let crc = checksum_parts(&[&f[4..n - 4]]);
+        f[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    };
+    let mut future = frames[0].clone();
+    future[4] = 9;
+    reseal(&mut future);
+    let huge = frame::encode_frame(kind::MSG, &vec![0xA5; 3 * frame::BURST_BUF + 17]);
+
+    // The corpus twice over (well past one buffer), a droppable frame and
+    // an oversized one in the middle of it.
+    let mut clean = Vec::new();
+    let mut cut = 0;
+    for (i, f) in frames.iter().chain(&frames).enumerate() {
+        clean.extend_from_slice(f);
+        if i == 5 {
+            clean.extend_from_slice(&future);
+        }
+        if i == frames.len() {
+            clean.extend_from_slice(&huge);
+            cut = clean.len();
+        }
+    }
+
+    // Each fatal mutant is spliced in at a frame boundary past the middle,
+    // with intact frames after it that must never be delivered.
+    let with = |mutant: &[u8]| {
+        let mut s = clean[..cut].to_vec();
+        s.extend_from_slice(mutant);
+        s.extend_from_slice(&clean[cut..]);
+        s
+    };
+    let mut bad_magic = frames[1].clone();
+    bad_magic[0] ^= 0xFF;
+    let mut bad_crc = frames[2].clone();
+    let mid = bad_crc.len() / 2;
+    bad_crc[mid] ^= 0x10;
+    let mut bad_version_unsealed = frames[3].clone();
+    bad_version_unsealed[4] = 9;
+    let mut oversize = frames[4].clone();
+    oversize[6..10].copy_from_slice(&(frame::MAX_PAYLOAD + 1).to_le_bytes());
+    let truncated = FrameError::Truncated;
+    let checksum = FrameError::BadChecksum {
+        expected: 0,
+        got: 0,
+    };
+    let streams = [
+        ("clean", clean.clone(), &truncated),
+        (
+            "cut mid-frame",
+            clean[..clean.len() - 3].to_vec(),
+            &truncated,
+        ),
+        ("bad magic", with(&bad_magic), &FrameError::BadMagic([0; 4])),
+        ("bad crc", with(&bad_crc), &checksum),
+        ("unsealed version", with(&bad_version_unsealed), &checksum),
+        ("oversize", with(&oversize), &FrameError::TooLarge(0)),
+    ];
+
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut patterns: Vec<Vec<usize>> = [1, 7, 4096, frame::BURST_BUF, usize::MAX]
+        .iter()
+        .map(|&n| vec![n])
+        .collect();
+    for _ in 0..24 {
+        // Mostly small chunks with the odd full-buffer one, or the reverse.
+        let len = 1 + next() as usize % 8;
+        patterns.push(
+            (0..len)
+                .map(|_| match next() % 4 {
+                    0 => 1 + next() as usize % 16,
+                    1 => 1 + next() as usize % 2048,
+                    _ => 1 + next() as usize % frame::BURST_BUF,
+                })
+                .collect(),
+        );
+    }
+
+    for (name, stream, fatal) in &streams {
+        let want = one_at_a_time(stream);
+        assert!(
+            want.0.len() > frames.len() && want.1 == std::mem::discriminant(*fatal),
+            "{name}: the reference must pass the huge frame and end in {fatal:?}"
+        );
+        for sizes in &patterns {
+            let got = in_bursts(stream, sizes.clone());
+            assert!(
+                got == want,
+                "{name}, chunks {sizes:?}: {} outcomes then {:?}, want {} then {:?}",
+                got.0.len(),
+                got.1,
+                want.0.len(),
+                want.1
+            );
+        }
+    }
+}
+
 /// The committed corpus: `ok_*.bin` must decode to exactly today's
 /// encodings; `bad_*.bin` must fail with a typed error. Regenerate with
 /// `CORPUS_WRITE=1`.

@@ -9,15 +9,14 @@
 
 use kvstore::{shard_config, KvCommand, KvNode, KvOp, NodeId, ReadMode, ShardedKvNode};
 use net::client::READ_FLAG;
-use net::server::{ClientGateway, KvServer};
+use net::server::{ClientGateway, KvServer, ServerHandle};
 use net::tcp::{TcpConfig, TcpTransport};
-use net::{fetch_shards, KvClient, PipelinedKvClient, ShardedKvClient};
+use net::{fetch_shards, KvClient, NetworkLink, PipelinedKvClient, ShardedKvClient};
 use omnipaxos::service::ServerConfig;
 use omnipaxos::ServiceMsg;
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,36 +24,45 @@ use std::time::{Duration, Instant};
 type Transport = TcpTransport<ServiceMsg<KvCommand>>;
 type Server = KvServer<Transport>;
 
-/// Control messages the test sends into a node's drive loop.
-enum Ctl {
-    KillTransport,
-    SetTransport(Box<Transport>),
-    Reconfigure(Vec<NodeId>),
-    /// Crash-recover the replica in place: protocol state is rebuilt
-    /// from (simulated) persistent storage, as after a process restart.
-    FailRecover,
-}
-
-/// Observable status a node publishes every loop iteration.
-#[derive(Default)]
-struct Status {
-    is_leader: AtomicBool,
-    /// Value of the "sentinel" key in the node's applied state (-1 if
-    /// absent) — the convergence probe.
-    sentinel: AtomicI64,
-    config_id: AtomicI64,
-    /// Whether shard 0's leader lease is currently valid at this node.
-    lease: AtomicBool,
-    /// Shard 0's decided log length — lets read tests assert log-free.
-    decided: AtomicI64,
-}
-
+/// One server inside `KvServer::run` on its own thread — the deployed
+/// loop, not a copy of it. Tests look at and interfere with the server
+/// through its [`ServerHandle`].
 struct Node {
     pid: NodeId,
-    ctl: Sender<Ctl>,
-    status: Arc<Status>,
-    handle: JoinHandle<Server>,
+    handle: ServerHandle<Transport>,
+    thread: JoinHandle<Server>,
     client_addr: SocketAddr,
+}
+
+impl Node {
+    /// Run `f` on the server's thread.
+    fn ask<R: Send + 'static>(&self, f: impl FnOnce(&mut Server) -> R + Send + 'static) -> R {
+        self.handle.call(f).expect("server loop is running")
+    }
+
+    fn is_leader(&self) -> bool {
+        self.ask(|s| s.node().is_leader(0))
+    }
+
+    /// Value of the "sentinel" key in the node's applied state — the
+    /// convergence probe.
+    fn sentinel(&self) -> Option<i64> {
+        self.ask(|s| s.node().read_local("sentinel"))
+    }
+
+    /// Tear the transport out from under the replica: it stays up but
+    /// mute until `restart_transport`.
+    fn kill_transport(&self) {
+        self.ask(|s| drop(s.kill_transport()));
+    }
+
+    /// Rebind the killed transport (same pid, same address — AddrInUse is
+    /// retried inside bind). Sessions come back with higher numbers and
+    /// the node re-syncs via PrepareReq.
+    fn restart_transport(&self, repl_addrs: &HashMap<NodeId, SocketAddr>) {
+        let t = Transport::bind(self.pid, repl_addrs.clone(), tcp_cfg()).unwrap();
+        self.ask(|s| s.set_transport(t));
+    }
 }
 
 struct Cluster {
@@ -73,41 +81,61 @@ fn tcp_cfg() -> TcpConfig {
     }
 }
 
+/// Everything about a cluster boot beyond its initial members.
+struct Opts {
+    /// Idle servers outside the initial configuration.
+    joiners: Vec<NodeId>,
+    /// Per-server `max_pending` override (small values force overload
+    /// shedding under pipelined load).
+    max_pending: Option<usize>,
+    /// Omni-Paxos groups per server, over its one replication transport.
+    shards: usize,
+    /// Leader-lease length in ticks; 0 disables leases. 40 ticks of 3 ms
+    /// ≈ 120 ms of lease per heartbeat round — comfortably renewable at
+    /// the 25 ms heartbeat interval.
+    lease_ticks: u64,
+    tick_every: Duration,
+}
+
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            joiners: Vec::new(),
+            max_pending: None,
+            shards: 1,
+            lease_ticks: 0,
+            tick_every: Duration::from_millis(3),
+        }
+    }
+}
+
 impl Cluster {
-    /// Boot `members` as the initial configuration and `joiners` as
-    /// idle servers; all replication and client ports are ephemeral.
-    fn boot(members: &[NodeId], joiners: &[NodeId]) -> Cluster {
-        Cluster::boot_with(members, joiners, None)
+    /// Boot `members` as the initial configuration, one shard, defaults.
+    fn boot(members: &[NodeId]) -> Cluster {
+        Cluster::boot_opts(members, Opts::default())
     }
 
-    /// Like [`Cluster::boot`], with an optional per-server `max_pending`
-    /// override (small values force overload shedding under pipelined
-    /// load).
-    fn boot_with(members: &[NodeId], joiners: &[NodeId], max_pending: Option<usize>) -> Cluster {
-        Cluster::boot_opts(members, joiners, max_pending, 1, 0)
-    }
-
-    /// Boot a sharded cluster: every server runs `shards` Omni-Paxos
-    /// groups over its one replication transport.
+    /// Boot a sharded cluster.
     fn boot_sharded(members: &[NodeId], shards: usize) -> Cluster {
-        Cluster::boot_opts(members, &[], None, shards, 0)
+        Cluster::boot_opts(
+            members,
+            Opts {
+                shards,
+                ..Opts::default()
+            },
+        )
     }
 
-    /// Boot with leader leases enabled: `lease_ticks` is in units of the
-    /// 3ms drive-loop tick, so 40 ticks ≈ 120ms of lease per heartbeat
-    /// round — comfortably renewable at the 25ms heartbeat interval.
-    fn boot_leased(members: &[NodeId], shards: usize, lease_ticks: u64) -> Cluster {
-        Cluster::boot_opts(members, &[], None, shards, lease_ticks)
-    }
-
-    fn boot_opts(
-        members: &[NodeId],
-        joiners: &[NodeId],
-        max_pending: Option<usize>,
-        shards: usize,
-        lease_ticks: u64,
-    ) -> Cluster {
-        let all: Vec<NodeId> = members.iter().chain(joiners).copied().collect();
+    /// All replication and client ports are ephemeral.
+    fn boot_opts(members: &[NodeId], opts: Opts) -> Cluster {
+        let Opts {
+            joiners,
+            max_pending,
+            shards,
+            lease_ticks,
+            tick_every,
+        } = opts;
+        let all: Vec<NodeId> = members.iter().chain(&joiners).copied().collect();
         let mut listeners = HashMap::new();
         let mut repl_addrs = HashMap::new();
         for &pid in &all {
@@ -161,66 +189,16 @@ impl Cluster {
             if let Some(mp) = max_pending {
                 server = server.with_max_pending(mp);
             }
-            let (ctl_tx, ctl_rx) = mpsc::channel();
-            let status = Arc::new(Status::default());
-            let handle = {
-                let stop = Arc::clone(&stop);
-                let status = Arc::clone(&status);
-                std::thread::Builder::new()
-                    .name(format!("kv-node-{pid}"))
-                    .spawn(move || {
-                        let mut server = server;
-                        let mut last_tick = Instant::now();
-                        while !stop.load(Ordering::SeqCst) {
-                            while let Ok(ctl) = ctl_rx.try_recv() {
-                                match ctl {
-                                    Ctl::KillTransport => drop(server.kill_transport()),
-                                    Ctl::SetTransport(t) => server.set_transport(*t),
-                                    Ctl::Reconfigure(nodes) => {
-                                        let _ = server.node_mut().reconfigure(0, nodes);
-                                    }
-                                    Ctl::FailRecover => server.node_mut().fail_recovery(),
-                                }
-                            }
-                            let work = server.pump();
-                            if last_tick.elapsed() >= Duration::from_millis(3) {
-                                last_tick = Instant::now();
-                                server.tick();
-                            }
-                            status
-                                .is_leader
-                                .store(server.node().is_leader(0), Ordering::Relaxed);
-                            status.sentinel.store(
-                                server.node().read_local("sentinel").unwrap_or(-1),
-                                Ordering::Relaxed,
-                            );
-                            status.config_id.store(
-                                server.node().shard(0).server_ref().config_id() as i64,
-                                Ordering::Relaxed,
-                            );
-                            status
-                                .lease
-                                .store(server.node().lease_valid(0), Ordering::Relaxed);
-                            status.decided.store(
-                                server.node().shard(0).server_ref().decided_len() as i64,
-                                Ordering::Relaxed,
-                            );
-                            // Open-loop load turns around in microseconds;
-                            // only an idle cycle may yield the scheduler
-                            // quantum.
-                            if work == 0 {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                        }
-                        server
-                    })
-                    .unwrap()
-            };
+            let handle = server.handle();
+            let stop = Arc::clone(&stop);
+            let thread = std::thread::Builder::new()
+                .name(format!("kv-node-{pid}"))
+                .spawn(move || server.run(tick_every, stop))
+                .unwrap();
             nodes.push(Node {
                 pid,
-                ctl: ctl_tx,
-                status,
                 handle,
+                thread,
                 client_addr,
             });
         }
@@ -236,12 +214,27 @@ impl Cluster {
     }
 
     fn wait_for_leader(&self) -> NodeId {
+        self.wait_for_leader_except(0)
+    }
+
+    /// Wait until some node other than `not` leads shard 0.
+    fn wait_for_leader_except(&self, not: NodeId) -> NodeId {
         wait(Duration::from_secs(10), "a leader", || {
             self.nodes
                 .iter()
-                .find(|n| n.status.is_leader.load(Ordering::Relaxed))
+                .find(|n| n.pid != not && n.is_leader())
                 .map(|n| n.pid)
         })
+    }
+
+    /// Wait until every replica's applied state has `sentinel == value`.
+    fn wait_for_sentinel(&self, value: i64) {
+        wait(Duration::from_secs(15), "sentinel on all replicas", || {
+            self.nodes
+                .iter()
+                .all(|n| n.sentinel() == Some(value))
+                .then_some(())
+        });
     }
 
     fn node(&self, pid: NodeId) -> &Node {
@@ -252,7 +245,7 @@ impl Cluster {
         self.stop.store(true, Ordering::SeqCst);
         self.nodes
             .into_iter()
-            .map(|n| (n.pid, n.handle.join().expect("node thread")))
+            .map(|n| (n.pid, n.thread.join().expect("node thread")))
             .collect()
     }
 }
@@ -307,7 +300,7 @@ fn wait<T>(timeout: Duration, what: &str, mut probe: impl FnMut() -> Option<T>) 
 
 #[test]
 fn three_node_cluster_survives_leader_transport_kill() {
-    let cluster = Cluster::boot(&[1, 2, 3], &[]);
+    let cluster = Cluster::boot(&[1, 2, 3]);
     let mut pipe = PipelinedKvClient::new(0xC11E47, cluster.client_addrs());
     let mut client = KvClient::new(0xC11E4A, cluster.client_addrs());
 
@@ -328,30 +321,15 @@ fn three_node_cluster_survives_leader_transport_kill() {
 
     // Phase 2: kill the leader's transport. The replica stays up but
     // mute; the others detect the dead sessions and elect around it.
-    cluster.node(leader).ctl.send(Ctl::KillTransport).unwrap();
-    let new_leader = wait(Duration::from_secs(10), "a new leader", || {
-        cluster
-            .nodes
-            .iter()
-            .filter(|n| n.pid != leader)
-            .find(|n| n.status.is_leader.load(Ordering::Relaxed))
-            .map(|n| n.pid)
-    });
-    assert_ne!(new_leader, leader);
+    cluster.node(leader).kill_transport();
+    cluster.wait_for_leader_except(leader);
 
     // Traffic continues against the surviving majority — still
     // pipelined, so redirects and reconnects hit a full window.
     pipelined_puts(&mut pipe, 50, 32, |i| format!("k{i}"), |i| (ops + i) as i64);
 
-    // Phase 3: restart the killed transport (same pid, same address —
-    // AddrInUse is retried inside bind). Sessions come back with higher
-    // numbers and the node re-syncs via PrepareReq.
-    let t = Transport::bind(leader, cluster.repl_addrs.clone(), tcp_cfg()).unwrap();
-    cluster
-        .node(leader)
-        .ctl
-        .send(Ctl::SetTransport(Box::new(t)))
-        .unwrap();
+    // Phase 3: restart the killed transport.
+    cluster.node(leader).restart_transport(&cluster.repl_addrs);
 
     // Phase 4: linearizable reads see the latest values.
     for i in 0..50u64 {
@@ -362,17 +340,7 @@ fn three_node_cluster_survives_leader_transport_kill() {
     // Convergence: a sentinel write must reach every replica's applied
     // state — including the one whose transport was killed.
     client.put("sentinel", 42).expect("sentinel");
-    wait(
-        Duration::from_secs(10),
-        "all replicas to apply sentinel",
-        || {
-            cluster
-                .nodes
-                .iter()
-                .all(|n| n.status.sentinel.load(Ordering::Relaxed) == 42)
-                .then_some(())
-        },
-    );
+    cluster.wait_for_sentinel(42);
 
     let servers = cluster.shutdown();
     let states: Vec<_> = servers
@@ -394,6 +362,90 @@ fn three_node_cluster_survives_leader_transport_kill() {
     );
 }
 
+/// Lost wake-up: with a 100 ms tick, a wake that goes missing anywhere on
+/// the path (client request → leader, AcceptDecide → follower, Accepted →
+/// leader) strands that op until the next tick, so it shows as a ≥ 50 ms
+/// outlier. Closed-loop puts take all three hops, one at a time, with
+/// every server asleep in between.
+#[test]
+fn no_wakeup_is_lost_between_sparse_ticks() {
+    let cluster = Cluster::boot_opts(
+        &[1, 2, 3],
+        Opts {
+            tick_every: Duration::from_millis(100),
+            ..Opts::default()
+        },
+    );
+    wait(Duration::from_secs(30), "a leader at 100 ms ticks", || {
+        cluster.nodes.iter().any(Node::is_leader).then_some(())
+    });
+    let mut pipe = PipelinedKvClient::new(0xC11E70, cluster.client_addrs());
+    // Ride out redirects to the leader before measuring.
+    pipelined_puts(&mut pipe, 20, 1, |i| format!("w{i}"), |i| i as i64);
+
+    let mut slow = 0;
+    for i in 0..5_000i64 {
+        let t0 = Instant::now();
+        pipe.submit(KvOp::Put {
+            key: format!("w{}", i % 64),
+            value: i,
+        });
+        while pipe.in_flight() > 0 {
+            pipe.wait(Duration::from_secs(5)).expect("window-1 put");
+        }
+        if t0.elapsed() >= Duration::from_millis(50) {
+            slow += 1;
+        }
+    }
+    assert!(
+        slow <= 2,
+        "{slow} of 5000 window-1 puts took ≥ 50 ms: wake-ups are being lost"
+    );
+    cluster.shutdown();
+}
+
+/// Busy spin: an idle cluster's loops run because something happened — a
+/// tick came due or a message arrived — not continuously. Each such event
+/// costs at most the cycle that handles it plus the empty cycle that
+/// precedes going back to sleep.
+#[test]
+fn idle_cluster_does_not_spin() {
+    let cluster = Cluster::boot(&[1, 2, 3]);
+    cluster.wait_for_leader();
+    let sample = |n: &Node| {
+        n.ask(|s| {
+            let events = s.link().map_or(0, |l| l.counters().msgs_received);
+            (s.loop_stats(), events)
+        })
+    };
+    let before: Vec<_> = cluster.nodes.iter().map(sample).collect();
+    std::thread::sleep(Duration::from_secs(1));
+    for (n, (s0, e0)) in cluster.nodes.iter().zip(before) {
+        let (s1, e1) = sample(n);
+        let pumps = s1.pumps - s0.pumps;
+        let ticks = s1.ticks - s0.ticks;
+        let events = e1 - e0;
+        assert!(
+            (150..=340).contains(&ticks),
+            "node {}: {ticks} ticks of 3 ms in 1 s",
+            n.pid
+        );
+        assert!(
+            pumps <= 2 * (ticks + events) + 10,
+            "node {}: {pumps} pump cycles for {ticks} ticks + {events} link events",
+            n.pid
+        );
+        assert!(
+            s1.parks - s0.parks >= ticks,
+            "node {}: an idle loop sleeps between ticks ({:?} -> {:?})",
+            n.pid,
+            s0,
+            s1
+        );
+    }
+    cluster.shutdown();
+}
+
 /// Kill-and-restart nemesis: repeated rounds of taking down the current
 /// leader — transport torn out AND the replica crash-recovered from its
 /// persistent state, modeling a full process restart — while a client
@@ -402,7 +454,7 @@ fn three_node_cluster_survives_leader_transport_kill() {
 /// the nemesis strikes again.
 #[test]
 fn kill_and_restart_nemesis_keeps_the_cluster_consistent() {
-    let cluster = Cluster::boot(&[1, 2, 3], &[]);
+    let cluster = Cluster::boot(&[1, 2, 3]);
     let mut pipe = PipelinedKvClient::new(0xC11E49, cluster.client_addrs());
     let mut client = KvClient::new(0xC11E4B, cluster.client_addrs());
 
@@ -415,18 +467,11 @@ fn kill_and_restart_nemesis_keeps_the_cluster_consistent() {
 
         // Process restart: the transport dies with its sessions, and the
         // replica rebuilds volatile protocol state from storage.
-        cluster.node(victim).ctl.send(Ctl::KillTransport).unwrap();
-        cluster.node(victim).ctl.send(Ctl::FailRecover).unwrap();
+        cluster.node(victim).kill_transport();
+        cluster.node(victim).ask(|s| s.node_mut().fail_recovery());
 
         // The survivors elect around the dead node.
-        wait(Duration::from_secs(10), "a new leader", || {
-            cluster
-                .nodes
-                .iter()
-                .filter(|n| n.pid != victim)
-                .find(|n| n.status.is_leader.load(Ordering::Relaxed))
-                .map(|n| n.pid)
-        });
+        cluster.wait_for_leader_except(victim);
 
         // Traffic continues against the surviving majority, with a full
         // pipeline window in flight across the leader change.
@@ -441,29 +486,12 @@ fn kill_and_restart_nemesis_keeps_the_cluster_consistent() {
             last[(i % 10) as usize] = (round * 1000 + i) as i64;
         }
 
-        // Restart the transport on the same address; sessions come back
-        // with higher numbers and the node re-syncs via PrepareReq.
-        let t = Transport::bind(victim, cluster.repl_addrs.clone(), tcp_cfg()).unwrap();
-        cluster
-            .node(victim)
-            .ctl
-            .send(Ctl::SetTransport(Box::new(t)))
-            .unwrap();
+        cluster.node(victim).restart_transport(&cluster.repl_addrs);
 
         // Full convergence — including the restarted node — before the
         // nemesis picks its next victim.
         client.put("sentinel", round as i64).expect("sentinel");
-        wait(
-            Duration::from_secs(15),
-            "all replicas to apply the round sentinel",
-            || {
-                cluster
-                    .nodes
-                    .iter()
-                    .all(|n| n.status.sentinel.load(Ordering::Relaxed) == round as i64)
-                    .then_some(())
-            },
-        );
+        cluster.wait_for_sentinel(round as i64);
     }
 
     // Linearizable reads see the last round's writes.
@@ -499,7 +527,13 @@ fn kill_and_restart_nemesis_keeps_the_cluster_consistent() {
 /// once, and per-key final values match submission order.
 #[test]
 fn pipelined_overload_sheds_excess_but_completes_everything() {
-    let cluster = Cluster::boot_with(&[1, 2, 3], &[], Some(64));
+    let cluster = Cluster::boot_opts(
+        &[1, 2, 3],
+        Opts {
+            max_pending: Some(64),
+            ..Opts::default()
+        },
+    );
     cluster.wait_for_leader();
 
     let mut pipe = PipelinedKvClient::new(0xC11E51, cluster.client_addrs());
@@ -544,13 +578,7 @@ fn pipelined_overload_sheds_excess_but_completes_everything() {
     // whole log prefix (all ops and reads above) is applied everywhere,
     // so the state snapshots below are race-free.
     reader.put("sentinel", 7).expect("sentinel");
-    wait(Duration::from_secs(10), "sentinel on all replicas", || {
-        cluster
-            .nodes
-            .iter()
-            .all(|n| n.status.sentinel.load(Ordering::Relaxed) == 7)
-            .then_some(())
-    });
+    cluster.wait_for_sentinel(7);
 
     let servers = cluster.shutdown();
     let sheds: u64 = servers.iter().map(|(_, s)| s.shed_requests()).sum();
@@ -734,13 +762,7 @@ fn sharded_cluster_routes_and_converges() {
 
     // Convergence barrier, then per-shard replica agreement.
     reader.put("sentinel", 9).expect("sentinel");
-    wait(Duration::from_secs(10), "sentinel on all replicas", || {
-        cluster
-            .nodes
-            .iter()
-            .all(|n| n.status.sentinel.load(Ordering::Relaxed) == 9)
-            .then_some(())
-    });
+    cluster.wait_for_sentinel(9);
     let servers = cluster.shutdown();
     for s in 0..shards as u32 {
         let states: Vec<_> = servers
@@ -780,18 +802,22 @@ fn sharded_cluster_routes_and_converges() {
 
 #[test]
 fn reconfiguration_brings_a_fourth_node_in_over_tcp() {
-    let cluster = Cluster::boot(&[1, 2, 3], &[4]);
+    let cluster = Cluster::boot_opts(
+        &[1, 2, 3],
+        Opts {
+            joiners: vec![4],
+            ..Opts::default()
+        },
+    );
     let mut client = KvClient::new(0xC11E48, cluster.client_addrs());
 
     for i in 0..60u64 {
         client.put(&format!("r{}", i % 20), i as i64).expect("put");
     }
     let leader = cluster.wait_for_leader();
-    cluster
-        .node(leader)
-        .ctl
-        .send(Ctl::Reconfigure(vec![1, 2, 3, 4]))
-        .unwrap();
+    cluster.node(leader).ask(|s| {
+        let _ = s.node_mut().reconfigure(0, vec![1, 2, 3, 4]);
+    });
 
     // The new configuration (config_id 2) must activate everywhere,
     // including the joiner, which migrates the log over real sockets.
@@ -802,7 +828,7 @@ fn reconfiguration_brings_a_fourth_node_in_over_tcp() {
             cluster
                 .nodes
                 .iter()
-                .all(|n| n.status.config_id.load(Ordering::Relaxed) >= 2)
+                .all(|n| n.ask(|s| s.node().shard(0).server_ref().config_id()) >= 2)
                 .then_some(())
         },
     );
@@ -810,17 +836,7 @@ fn reconfiguration_brings_a_fourth_node_in_over_tcp() {
     // Writes still apply in the new configuration, and the joiner
     // converges to the same state.
     client.put("sentinel", 42).expect("post-reconfig write");
-    wait(
-        Duration::from_secs(10),
-        "all four to apply sentinel",
-        || {
-            cluster
-                .nodes
-                .iter()
-                .all(|n| n.status.sentinel.load(Ordering::Relaxed) == 42)
-                .then_some(())
-        },
-    );
+    cluster.wait_for_sentinel(42);
 
     let servers = cluster.shutdown();
     let states: Vec<_> = servers
@@ -844,21 +860,17 @@ fn reconfiguration_brings_a_fourth_node_in_over_tcp() {
 /// reads with puts and every submission completes exactly once.
 #[test]
 fn read_modes_answer_over_tcp() {
-    let cluster = Cluster::boot_leased(&[1, 2, 3], 1, 40);
+    let cluster = Cluster::boot_opts(
+        &[1, 2, 3],
+        Opts {
+            lease_ticks: 40,
+            ..Opts::default()
+        },
+    );
     let leader = cluster.wait_for_leader();
     let mut client = KvClient::new(901, cluster.client_addrs());
     client.put("sentinel", 7).expect("seed write");
-    wait(
-        Duration::from_secs(10),
-        "replication of the seed write",
-        || {
-            cluster
-                .nodes
-                .iter()
-                .all(|n| n.status.sentinel.load(Ordering::Relaxed) == 7)
-                .then_some(())
-        },
-    );
+    cluster.wait_for_sentinel(7);
 
     // Baseline: the read-through-log path.
     assert_eq!(
@@ -874,12 +886,16 @@ fn read_modes_answer_over_tcp() {
     wait(Duration::from_secs(10), "the leader's lease", || {
         cluster
             .node(leader)
-            .status
-            .lease
-            .load(Ordering::Relaxed)
+            .ask(|s| s.node().lease_valid(0))
             .then_some(())
     });
-    let log_before = cluster.node(leader).status.decided.load(Ordering::Relaxed);
+    // Shard 0's decided log length — lets the test assert log-free.
+    let decided = || {
+        cluster
+            .node(leader)
+            .ask(|s| s.node().shard(0).server_ref().decided_len())
+    };
+    let log_before = decided();
     for _ in 0..16 {
         assert_eq!(
             client
@@ -888,7 +904,7 @@ fn read_modes_answer_over_tcp() {
             Some(7)
         );
     }
-    let log_after = cluster.node(leader).status.decided.load(Ordering::Relaxed);
+    let log_after = decided();
     assert!(
         log_after - log_before < 16,
         "lease reads grew the log: {log_before} -> {log_after}"
@@ -1035,7 +1051,7 @@ impl RawConn {
 /// original verdict verbatim without re-executing anything.
 #[test]
 fn retried_cas_replays_original_verdict_through_the_gateway() {
-    let cluster = Cluster::boot(&[1, 2, 3], &[]);
+    let cluster = Cluster::boot(&[1, 2, 3]);
     let leader = cluster.wait_for_leader();
 
     // Seed the key under a different client so the CAS client's seq
