@@ -13,7 +13,8 @@ use omnipaxos::NodeId;
 use simulator::{Network, NetworkConfig, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 use std::time::Instant;
 
 /// Anything a link can hand the replica driver.
@@ -100,32 +101,29 @@ struct WakerInner {
     /// queues — so anything queued after the drain finds the flag clear,
     /// sets it, and the loop's next wait returns at once.
     signaled: AtomicBool,
-    /// True while the loop is inside [`Waker::wait_until`]; lets `wake`
-    /// skip the condvar syscall when nobody is asleep.
-    asleep: Mutex<bool>,
-    cv: Condvar,
+    /// The thread running the loop, unparked by the signal that sets the
+    /// flag (later ones find it set and skip the lock and the syscall).
+    sleeper: Mutex<Option<Thread>>,
     wakes: [AtomicU64; 3],
 }
 
 /// The one thing a server's drive loop sleeps on. Producers (socket
 /// reader threads, control handles) call [`Waker::wake`] *after* queueing
 /// their work; the loop clears the flag, drains every queue, and only
-/// then waits — a wake can be early, never lost.
+/// then parks — a wake can be early, never lost.
 #[derive(Clone, Default)]
 pub struct Waker(Arc<WakerInner>);
 
 impl Waker {
-    /// Signal the loop. Cheap when it is already signalled or awake.
+    /// Signal the loop. Cheap when it is already signalled.
     pub fn wake(&self, source: WakeSource) {
         self.0.wakes[source as usize].fetch_add(1, Ordering::Relaxed);
-        if self.0.signaled.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Taking the lock orders this against the loop's check-then-wait:
-        // either it has not checked yet (and will see the flag), or it is
-        // already waiting (and gets the notify).
-        if *lock_unpoisoned(&self.0.asleep) {
-            self.0.cv.notify_one();
+        if !self.0.signaled.swap(true, Ordering::SeqCst) {
+            // An unpark that lands before the loop parks is kept as the
+            // thread's token: that park returns at once.
+            if let Some(t) = &*lock_unpoisoned(&self.0.sleeper) {
+                t.unpark();
+            }
         }
     }
 
@@ -134,68 +132,92 @@ impl Waker {
         [0, 1, 2].map(|i| self.0.wakes[i].load(Ordering::Relaxed))
     }
 
+    /// Loop side: the calling thread is the one that will wait.
+    pub(crate) fn attach(&self) {
+        *lock_unpoisoned(&self.0.sleeper) = Some(std::thread::current());
+    }
+
     /// Loop side: forget earlier signals. Call before draining.
     pub(crate) fn clear(&self) {
         self.0.signaled.store(false, Ordering::SeqCst);
     }
 
-    /// Loop side: block until signalled or `deadline`. Returns whether a
-    /// signal (rather than the deadline) ended the wait.
+    /// Loop side: park until signalled or `deadline`. Returns whether a
+    /// signal (rather than the deadline) ended the wait. A leftover token
+    /// or a spurious unpark only goes round the flag check again.
     pub(crate) fn wait_until(&self, deadline: Instant) -> bool {
-        let mut asleep = lock_unpoisoned(&self.0.asleep);
-        *asleep = true;
         while !self.0.signaled.load(Ordering::SeqCst) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                break;
+                return false;
             }
-            asleep = self
-                .0
-                .cv
-                .wait_timeout(asleep, left)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+            std::thread::park_timeout(left);
         }
-        *asleep = false;
-        self.0.signaled.load(Ordering::SeqCst)
+        true
     }
+}
+
+struct InboxState<T> {
+    items: Vec<T>,
+    waker: Option<Waker>,
+    closed: bool,
 }
 
 /// A many-producers, one-drive-loop queue: a producer hands over a whole
 /// burst under one lock and signals the loop's [`Waker`] once.
 pub(crate) struct Inbox<T> {
     source: WakeSource,
-    state: Mutex<(Vec<T>, Option<Waker>)>,
+    state: Mutex<InboxState<T>>,
 }
 
 impl<T> Inbox<T> {
     pub(crate) fn new(source: WakeSource) -> Self {
         Inbox {
             source,
-            state: Mutex::new((Vec::new(), None)),
+            state: Mutex::new(InboxState {
+                items: Vec::new(),
+                waker: None,
+                closed: false,
+            }),
         }
     }
 
-    /// Queue `items` and wake the loop (no-op for an empty burst).
+    /// Queue `items` and wake the loop (no-op for an empty burst; a
+    /// closed inbox drops them).
     pub(crate) fn push(&self, items: impl IntoIterator<Item = T>) {
         let mut state = lock_unpoisoned(&self.state);
-        let before = state.0.len();
-        state.0.extend(items);
-        if state.0.len() > before {
-            if let Some(w) = &state.1 {
+        if state.closed {
+            return;
+        }
+        let before = state.items.len();
+        state.items.extend(items);
+        if state.items.len() > before {
+            if let Some(w) = &state.waker {
                 w.wake(self.source);
             }
         }
     }
 
     pub(crate) fn drain(&self) -> Vec<T> {
-        std::mem::take(&mut lock_unpoisoned(&self.state).0)
+        std::mem::take(&mut lock_unpoisoned(&self.state).items)
     }
 
     /// Install the loop's waker. Items already queued need no signal: a
     /// drive loop always drains before it first waits.
     pub(crate) fn set_waker(&self, waker: Waker) {
-        lock_unpoisoned(&self.state).1 = Some(waker);
+        lock_unpoisoned(&self.state).waker = Some(waker);
+    }
+
+    /// Nobody will drain any more: hand back what is queued and drop
+    /// whatever is pushed from now on, until [`Inbox::reopen`].
+    pub(crate) fn close(&self) -> Vec<T> {
+        let mut state = lock_unpoisoned(&self.state);
+        state.closed = true;
+        std::mem::take(&mut state.items)
+    }
+
+    pub(crate) fn reopen(&self) {
+        lock_unpoisoned(&self.state).closed = false;
     }
 }
 

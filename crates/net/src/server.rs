@@ -17,7 +17,7 @@
 
 use crate::frame::{self, kind, FrameReader};
 use crate::link::{lock_unpoisoned, Inbox, LinkEvent, NetworkLink, WakeSource, Waker};
-use crate::tcp::poke_listener;
+use crate::tcp::unblock_accept;
 use kvstore::{
     shard_of_key, KvCommand, KvNode, KvWire, ReadMode, ShardedKvNode, TxnCoordinator, TxnId,
     TxnState,
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,7 +57,8 @@ pub struct ClientGateway {
     requests: Arc<Inbox<(ConnId, KvWire)>>,
     conns: Arc<Mutex<HashMap<ConnId, GatewayConn>>>,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    /// The acceptor thread and a dup of its listener (to unblock it with).
+    acceptor: Option<(JoinHandle<()>, TcpListener)>,
     local_addr: SocketAddr,
     /// Coalesced reply writes issued / reply frames carried by them.
     reply_batches: u64,
@@ -71,6 +72,7 @@ impl ClientGateway {
         let requests = Arc::new(Inbox::new(WakeSource::Gateway));
         let conns: Arc<Mutex<HashMap<ConnId, GatewayConn>>> = Arc::new(Mutex::new(HashMap::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
+        let listener_dup = listener.try_clone()?;
         let acceptor = {
             let requests = Arc::clone(&requests);
             let conns = Arc::clone(&conns);
@@ -83,7 +85,7 @@ impl ClientGateway {
             requests,
             conns,
             shutdown,
-            acceptor: Some(acceptor),
+            acceptor: Some((acceptor, listener_dup)),
             local_addr,
             reply_batches: 0,
             reply_frames: 0,
@@ -154,11 +156,11 @@ impl Drop for ClientGateway {
         for (_, c) in lock_unpoisoned(&self.conns).drain() {
             let _ = c.stream.shutdown(std::net::Shutdown::Both);
         }
-        // The acceptor blocks in `accept`; if the wake-up connection cannot
-        // be made it stays detached rather than hanging this drop.
-        if poke_listener(self.local_addr) {
-            if let Some(h) = self.acceptor.take() {
-                let _ = h.join();
+        // The acceptor blocks in `accept`; should nothing get it out, it
+        // stays detached rather than hanging this drop.
+        if let Some((thread, listener)) = self.acceptor.take() {
+            if unblock_accept(listener, self.local_addr) {
+                let _ = thread.join();
             }
         }
     }
@@ -174,7 +176,7 @@ fn gateway_accept(
     loop {
         let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
-            return; // woken by `poke_listener`
+            return; // woken by `unblock_accept`
         }
         let Ok((stream, _)) = accepted else {
             // fd exhaustion fails `accept` at once, over and over; breathe
@@ -234,23 +236,22 @@ type Call<L> = Box<dyn FnOnce(&mut KvServer<L>) + Send>;
 /// the loop like any other event. This is how tests and operators inspect
 /// or perturb a running server without a drive loop of their own.
 pub struct ServerHandle<L> {
-    calls: Sender<Call<L>>,
-    waker: Waker,
+    calls: Arc<Inbox<Call<L>>>,
 }
 
 impl<L> Clone for ServerHandle<L> {
     fn clone(&self) -> Self {
         ServerHandle {
-            calls: self.calls.clone(),
-            waker: self.waker.clone(),
+            calls: Arc::clone(&self.calls),
         }
     }
 }
 
 impl<L> ServerHandle<L> {
-    /// Run `f` on the server's thread and return its result. Blocks until
-    /// the loop gets to it (so: only while `run` is active); `None` if the
-    /// server was dropped first.
+    /// Run `f` on the server's thread and return its result. A call posted
+    /// before `run` starts waits for it; `None` if the loop will not get
+    /// to it — `run` returned (or the server was dropped) with the call
+    /// still queued, or had already done so when it was posted.
     pub fn call<R: Send + 'static>(
         &self,
         f: impl FnOnce(&mut KvServer<L>) -> R + Send + 'static,
@@ -259,11 +260,43 @@ impl<L> ServerHandle<L> {
         let call: Call<L> = Box::new(move |server| {
             let _ = tx.send(f(server));
         });
-        self.calls.send(call).ok()?;
-        self.waker.wake(WakeSource::Control);
+        // A call the loop drops unrun takes `tx` with it: `recv` errors.
+        self.calls.push([call]);
         rx.recv().ok()
     }
 }
+
+/// What one pump cycle did.
+struct Cycle {
+    /// Messages handled, requests served, results delivered.
+    work: usize,
+    /// Whether anything was handed to the link for peers.
+    sent: bool,
+    /// Client frames moved: requests served plus replies queued.
+    client_frames: u64,
+}
+
+/// Burst pacing in [`KvServer::run`]: after a cycle that moved `n` client
+/// frames the loop does not drain again until `min(n * PACE_PER_FRAME,
+/// PACE_MAX)` has passed since that cycle's drain. Eight microseconds is
+/// about twice what one op costs the whole pipeline (reader and writer
+/// threads, followers, the client's own turn-around) on the hosts this
+/// runs on, so a loaded server works at most half the time: a pipelined
+/// window is served at the pace of a timer, not at whatever pace the
+/// scheduler grants a dozen threads that hand it from one to the next —
+/// measured on a shared 2-vCPU host, the same 256-op window went round
+/// anywhere between 150 k and 320 k ops/s from one 40 ms stretch to the
+/// next without the spacing, and within 1 % of its ceiling with it. A lone
+/// request moves one frame and is never held back (see `PACE_MIN_SLEEP`),
+/// and a window so large that its own round trip outlasts `PACE_MAX` is
+/// not slowed either: the spacing has passed before its acks return.
+const PACE_PER_FRAME: Duration = Duration::from_micros(8);
+/// Longest spacing — also the longest `stop`, a tick or a
+/// [`ServerHandle`] call can be kept waiting by it.
+const PACE_MAX: Duration = Duration::from_millis(1);
+/// A sleep shorter than the OS timer slack (50 µs on Linux) oversleeps by
+/// more than it asked for; spacings that short are skipped.
+const PACE_MIN_SLEEP: Duration = Duration::from_micros(50);
 
 /// What [`KvServer::run`] has done so far — enough to tell an event-driven
 /// loop from a spinning or an oversleeping one.
@@ -277,6 +310,8 @@ pub struct LoopStats {
     /// the tick deadline instead of being woken.
     pub parks: u64,
     pub timeouts: u64,
+    /// Cycles followed by a burst-pacing sleep.
+    pub paced: u64,
     /// Wake signals sent by the link's readers, the gateway's readers and
     /// [`ServerHandle`] calls.
     pub wakes_link: u64,
@@ -322,6 +357,9 @@ pub struct KvServer<L> {
     /// even overload-shed) clears the record, because it proves lower
     /// seqs are still in flight to this shard.
     gap_shed: Vec<HashMap<u64, (ConnId, u64)>>,
+    /// Per shard: the connection on which each client was last sent a
+    /// leader redirect for a write (see `serve_clients`).
+    redirected: Vec<HashMap<u64, ConnId>>,
     /// Log-free reads in flight, per shard: `(client, seq) -> conn`.
     /// Separate from `pending` because these never ride the log: they are
     /// not invalidated by leadership changes (lease reads serve in the
@@ -350,8 +388,15 @@ pub struct KvServer<L> {
     /// What [`KvServer::run`] sleeps on; installed on the link and the
     /// gateway so their reader threads can end that sleep.
     waker: Waker,
-    calls: (Sender<Call<L>>, Receiver<Call<L>>),
+    calls: Arc<Inbox<Call<L>>>,
     stats: LoopStats,
+}
+
+impl<L> Drop for KvServer<L> {
+    fn drop(&mut self) {
+        // Handles outlive the server; fail their queued calls.
+        self.calls.close();
+    }
 }
 
 impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
@@ -367,6 +412,8 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
         let n = node.n_shards();
         let waker = Waker::default();
         link.set_waker(waker.clone());
+        let calls = Arc::new(Inbox::new(WakeSource::Control));
+        calls.set_waker(waker.clone());
         // The boot-time nonce keeps this incarnation's coordinator
         // identity distinct from any predecessor whose proposals may
         // still be in flight in the shards' logs.
@@ -383,6 +430,7 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             max_pending: DEFAULT_MAX_PENDING,
             admitted: vec![HashMap::new(); n],
             gap_shed: vec![HashMap::new(); n],
+            redirected: vec![HashMap::new(); n],
             pending_reads: vec![HashMap::new(); n],
             shed: 0,
             prepare_reqs: 0,
@@ -393,7 +441,7 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             pending_txns: HashMap::new(),
             cross_shard_rejects: 0,
             waker,
-            calls: mpsc::channel(),
+            calls,
             stats: LoopStats::default(),
         }
     }
@@ -409,8 +457,7 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
     /// [`KvServer::run`].
     pub fn handle(&self) -> ServerHandle<L> {
         ServerHandle {
-            calls: self.calls.0.clone(),
-            waker: self.waker.clone(),
+            calls: Arc::clone(&self.calls),
         }
     }
 
@@ -514,13 +561,14 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
     /// Returns the number of units of work done (messages handled,
     /// requests served, results delivered).
     pub fn pump(&mut self) -> usize {
-        self.cycle().0
+        self.cycle().work
     }
 
     /// [`KvServer::pump`], also reporting whether anything was sent to
     /// peers — [`KvServer::run`] sleeps only after a cycle that neither
-    /// handled nor sent anything.
-    fn cycle(&mut self) -> (usize, bool) {
+    /// handled nor sent anything — and how many client frames it moved.
+    fn cycle(&mut self) -> Cycle {
+        let replies_before = self.gateway_reply_stats().1;
         let mut work = 0;
         if let Some(link) = self.link.as_mut() {
             for ev in link.poll() {
@@ -545,9 +593,14 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                 }
             }
         }
-        work += self.serve_clients();
+        let served = self.serve_clients();
         let (delivered, sent) = self.settle();
-        (work + delivered, sent)
+        let replied = self.gateway_reply_stats().1 - replies_before;
+        Cycle {
+            work: work + served + delivered,
+            sent,
+            client_frames: served as u64 + replied,
+        }
     }
 
     /// Advance protocol timers (election, heartbeats, resends).
@@ -767,7 +820,17 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             }
             let shard = self.node.shard_of(&cmd.op);
             let s = shard as usize;
-            if !self.node.is_leader(shard) {
+            // A connection on which this client was redirected stays
+            // redirected: those frames are ahead of anything said now, and
+            // on reading them the client resends its whole window, in seq
+            // order, on a new connection. Were this node to win the shard
+            // in between and admit the later seqs as a first contact, they
+            // would overtake the redirected ones, and the session table
+            // would then refuse the resent lower seqs as stale duplicates —
+            // writes answered `applied: false` that nobody ever applied.
+            let redirected_here = self.redirected[s].get(&cmd.client) == Some(&conn);
+            if !self.node.is_leader(shard) || redirected_here {
+                self.redirected[s].insert(cmd.client, conn);
                 let leader = self.node.leader_of(shard);
                 // Single-shard servers speak the pre-sharding protocol;
                 // sharded ones tell the client *which* shard to re-route.
@@ -778,6 +841,8 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                 }
                 continue;
             }
+            // Any other connection carries the resent, in-order window.
+            self.redirected[s].remove(&cmd.client);
             let key = (cmd.client, cmd.seq);
             let seq = cmd.seq;
             // Any arrival from this client clears its gap record: a lower
@@ -910,15 +975,19 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
     /// within one tick. No wake-up can be lost: the flag is cleared
     /// *before* the queues are drained, and producers set it *after*
     /// queueing, so work that misses this cycle's drain ends the sleep
-    /// that follows it.
+    /// that follows it. A cycle that moved a burst of client frames is
+    /// followed by a spacing of at most `PACE_MAX` before the next drain
+    /// (see `PACE_PER_FRAME`); a lone request never is.
     pub fn run(mut self, tick_every: Duration, stop: Arc<AtomicBool>) -> Self {
+        self.waker.attach();
+        self.calls.reopen();
         let mut next_tick = Instant::now() + tick_every;
         while !stop.load(Ordering::SeqCst) {
             self.waker.clear();
-            let mut busy = false;
-            while let Ok(call) = self.calls.1.try_recv() {
+            let calls = self.calls.drain();
+            let busy = !calls.is_empty();
+            for call in calls {
                 call(&mut self);
-                busy = true;
             }
             let now = Instant::now();
             if now >= next_tick {
@@ -926,12 +995,20 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                 self.stats.ticks += 1;
                 self.tick();
             }
-            let (work, sent) = self.cycle();
+            let cycle = self.cycle();
             self.stats.pumps += 1;
-            if work > 0 {
+            if cycle.work > 0 {
                 self.stats.busy_pumps += 1;
             }
-            if busy || sent || work > 0 {
+            // Burst pacing: the next drain keeps its distance from this one.
+            let frames = u32::try_from(cycle.client_frames).unwrap_or(u32::MAX);
+            let spacing = PACE_PER_FRAME.saturating_mul(frames).min(PACE_MAX);
+            let left = (now + spacing).saturating_duration_since(Instant::now());
+            if left >= PACE_MIN_SLEEP {
+                self.stats.paced += 1;
+                std::thread::sleep(left);
+            }
+            if busy || cycle.sent || cycle.work > 0 {
                 continue;
             }
             self.stats.parks += 1;
@@ -939,6 +1016,9 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                 self.stats.timeouts += 1;
             }
         }
+        // Calls that raced `stop` are dropped unrun, and so are later ones:
+        // their callers get `None` instead of waiting on a stopped loop.
+        drop(self.calls.close());
         self
     }
 }
@@ -958,23 +1038,156 @@ fn is_prepare_req<T: omnipaxos::Entry>(msg: &ServiceMsg<T>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::SimHub;
+    use crate::link::{SimHub, SimLink};
     use kvstore::{KvCommand, KvOp};
     use simulator::NetworkConfig;
 
-    /// A group of one decides inside its own flush. The same pump cycle
-    /// must apply that and write the reply — under `run` nothing else
-    /// would wake the loop before the next tick.
-    #[test]
-    fn solo_replica_replies_in_the_cycle_that_received_the_request() {
-        let hub = SimHub::new(NetworkConfig {
+    fn solo_hub() -> SimHub<ServiceMsg<KvCommand>> {
+        SimHub::new(NetworkConfig {
             nodes: vec![1],
             default_latency_us: 1_000,
             jitter_us: 0,
             nic_bytes_per_sec: None,
             priority_bytes: 0,
             seed: 1,
+        })
+    }
+
+    /// A handle call must never wait on a loop that will not run it: one
+    /// posted before `run` is served, one still queued when `run` returns
+    /// and one posted afterwards both come back `None`.
+    #[test]
+    fn handle_calls_fail_instead_of_waiting_on_a_stopped_loop() {
+        let server = KvServer::new(KvNode::new(1, vec![1]), solo_hub().link(1));
+        let (handle, waker) = (server.handle(), server.waker.clone());
+        let stop = Arc::new(AtomicBool::new(false));
+
+        let early = {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.call(|s| s.node().pid()))
+        };
+        let running = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || server.run(Duration::from_millis(5), stop))
+        };
+        assert_eq!(early.join().unwrap(), Some(1), "queued before `run`");
+
+        // Stop from inside the loop, then block it until a second call is
+        // queued behind this one: that call can only be dropped at exit.
+        let (queued_tx, queued_rx) = mpsc::channel::<()>();
+        let stopper = {
+            let (handle, stop) = (handle.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                handle.call(move |_| {
+                    stop.store(true, Ordering::SeqCst);
+                    let _ = queued_rx.recv_timeout(Duration::from_secs(5));
+                })
+            })
+        };
+        while !stop.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let raced = {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.call(|s| s.node().pid()))
+        };
+        while waker.wakes()[WakeSource::Control as usize] < 3 {
+            std::thread::yield_now();
+        }
+        queued_tx.send(()).unwrap();
+        assert_eq!(stopper.join().unwrap(), Some(()));
+        assert_eq!(raced.join().unwrap(), None, "queued when `run` returned");
+
+        let server = running.join().unwrap();
+        assert_eq!(handle.call(|s| s.node().pid()), None, "posted after `run`");
+        drop(server);
+        assert_eq!(handle.call(|s| s.node().pid()), None, "server gone");
+    }
+
+    /// Pump `server` until `n` frames have come back on `client`.
+    fn replies(
+        server: &mut KvServer<SimLink<ServiceMsg<KvCommand>>>,
+        client: &TcpStream,
+        n: usize,
+    ) -> Vec<KvWire> {
+        client
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut got = Vec::new();
+        while got.len() < n {
+            assert!(Instant::now() < deadline, "{} of {n} replies", got.len());
+            server.pump();
+            if let Ok(f) = frame::read_frame(&mut &*client) {
+                got.push(KvWire::from_bytes(&f.payload).expect("a kv frame"));
+            }
+        }
+        got
+    }
+
+    fn put(client: &TcpStream, seq: u64) {
+        let request = KvWire::Request(KvCommand {
+            client: 7,
+            seq,
+            op: KvOp::Put {
+                key: format!("k{seq}"),
+                value: seq as i64,
+            },
         });
+        frame::write_frame(&mut &*client, kind::KV, &request.to_bytes()).unwrap();
+    }
+
+    /// A node that wins the shard between two bursts of one connection
+    /// must not admit the second burst: the first was redirected, and the
+    /// client resends it — behind seqs the session table would by then
+    /// have moved past, so those writes would come back refused without
+    /// ever having been applied.
+    #[test]
+    fn later_seqs_do_not_overtake_redirected_ones_on_the_same_connection() {
+        let hub = solo_hub();
+        let gateway = ClientGateway::bind(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        let addr = gateway.local_addr();
+        let mut server = KvServer::new(KvNode::new(1, vec![1]), hub.link(1)).with_gateway(gateway);
+        assert!(
+            !server.node().is_leader(0),
+            "no election before the first tick"
+        );
+
+        let first = TcpStream::connect(addr).unwrap();
+        put(&first, 1);
+        put(&first, 2);
+        for r in replies(&mut server, &first, 2) {
+            assert!(matches!(r, KvWire::Redirect { .. }), "not leading: {r:?}");
+        }
+        for _ in 0..100 {
+            server.tick();
+        }
+        assert!(server.node().is_leader(0), "a group of one elects itself");
+        put(&first, 3);
+        let r = replies(&mut server, &first, 1);
+        assert!(
+            matches!(r[0], KvWire::Redirect { .. }),
+            "seq 3 admitted ahead of the redirected 1 and 2: {r:?}"
+        );
+
+        // The client's side of a redirect: a new connection, the whole
+        // window again, in order.
+        let second = TcpStream::connect(addr).unwrap();
+        (1..=3).for_each(|seq| put(&second, seq));
+        for (seq, r) in (1..=3).zip(replies(&mut server, &second, 3)) {
+            match r {
+                KvWire::Reply(res) => assert_eq!((res.seq, res.applied), (seq, true)),
+                other => panic!("expected a reply to seq {seq}, got {other:?}"),
+            }
+        }
+    }
+
+    /// A group of one decides inside its own flush. The same pump cycle
+    /// must apply that and write the reply — under `run` nothing else
+    /// would wake the loop before the next tick.
+    #[test]
+    fn solo_replica_replies_in_the_cycle_that_received_the_request() {
+        let hub = solo_hub();
         let gateway = ClientGateway::bind(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
         let addr = gateway.local_addr();
         let mut server = KvServer::new(KvNode::new(1, vec![1]), hub.link(1)).with_gateway(gateway);

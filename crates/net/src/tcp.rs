@@ -17,8 +17,8 @@
 //!
 //! ## Threads
 //!
-//! * one **acceptor** (blocking `accept`; shutdown unblocks it with a
-//!   throwaway self-connection),
+//! * one **acceptor** (blocking `accept`; shutdown unblocks it by shutting
+//!   the listening socket down),
 //! * one **dialer** per peer with larger pid (connect → handshake → hand
 //!   the socket to a session; retry with backoff),
 //! * per live session, a **writer** (drains the send queue, emits
@@ -48,21 +48,43 @@ use omnipaxos::wire::{BatchCache, Wire};
 use omnipaxos::NodeId;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Unblock a thread parked in `accept` on the listener bound to `addr` by
-/// connecting to it once (the accept loop re-checks its shutdown flag on
-/// every return). Returns whether the connection was made.
-pub(crate) fn poke_listener(mut addr: SocketAddr) -> bool {
-    if addr.ip().is_unspecified() {
-        addr.set_ip(Ipv4Addr::LOCALHOST.into());
+/// Unblock the thread parked in `accept` on the socket that `listener`
+/// is a dup of and that is bound to `addr` (both accept loops re-check
+/// their shutdown flag on every return); says whether it did. `shutdown`
+/// on the listening socket itself does it on Linux, whatever the address
+/// and without touching the network; where the OS refuses that, one
+/// throwaway connection does.
+pub(crate) fn unblock_accept(listener: TcpListener, addr: SocketAddr) -> bool {
+    #[cfg(unix)]
+    {
+        // std offers `shutdown` on streams only; view the fd as one.
+        let socket = TcpStream::from(std::os::fd::OwnedFd::from(listener));
+        if socket.shutdown(Shutdown::Both).is_ok() {
+            return true;
+        }
     }
-    TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
+    #[cfg(not(unix))]
+    drop(listener);
+    TcpStream::connect_timeout(&reachable(addr), Duration::from_secs(1)).is_ok()
+}
+
+/// Where to dial a listener bound to `addr`: a wildcard address accepts
+/// on the loopback of its own family (a v6-only socket on no other).
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Transport tuning knobs.
@@ -170,8 +192,9 @@ pub struct TcpTransport<M> {
     shared: Arc<Shared<M>>,
     cache: BatchCache,
     local_addr: SocketAddr,
-    /// Joined only after [`poke_listener`] got through to it.
-    acceptor: Option<JoinHandle<()>>,
+    /// The acceptor thread and a dup of its listener, for
+    /// [`unblock_accept`]; joined only once that got through to it.
+    acceptor: Option<(JoinHandle<()>, TcpListener)>,
 }
 
 impl<M: Wire + Send + 'static> TcpTransport<M> {
@@ -227,6 +250,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
         // or a dialer would be silently partitioned forever. Dropping
         // `transport` on the way out tears down whatever already started.
         let shared2 = Arc::clone(&shared);
+        let listener_dup = listener.try_clone()?;
         let acceptor = std::thread::Builder::new()
             .name(format!("net-accept-{pid}"))
             .spawn(move || accept_loop(shared2, listener))?;
@@ -234,7 +258,7 @@ impl<M: Wire + Send + 'static> TcpTransport<M> {
             shared,
             cache: BatchCache::new(),
             local_addr,
-            acceptor: Some(acceptor),
+            acceptor: Some((acceptor, listener_dup)),
         };
         // Dialing rule: smaller pid dials larger, so each pair has one owner.
         for (&peer, &peer_addr) in &addrs {
@@ -266,11 +290,11 @@ impl<M> TcpTransport<M> {
         for (_, sess) in lock_unpoisoned(&self.shared.peers).drain() {
             let _ = sess.stream.shutdown(std::net::Shutdown::Both);
         }
-        // The acceptor blocks in `accept`; if the wake-up connection cannot
-        // be made it stays detached rather than hanging this call.
-        if poke_listener(self.local_addr) {
-            if let Some(h) = self.acceptor.take() {
-                let _ = h.join();
+        // The acceptor blocks in `accept`; should nothing get it out, it
+        // stays detached rather than hanging this call.
+        if let Some((thread, listener)) = self.acceptor.take() {
+            if unblock_accept(listener, self.local_addr) {
+                let _ = thread.join();
             }
         }
         let handles: Vec<_> = lock_unpoisoned(&self.shared.threads).drain(..).collect();
@@ -347,7 +371,7 @@ fn accept_loop<M: Wire + Send + 'static>(shared: Arc<Shared<M>>, listener: TcpLi
     loop {
         let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
-            return; // woken by `poke_listener`
+            return; // woken by `unblock_accept`
         }
         let Ok((stream, _)) = accepted else {
             // fd exhaustion fails `accept` at once, over and over; breathe
@@ -876,6 +900,38 @@ mod tests {
 
         drop(peer); // EOF is fatal: the reader returns
         reader.join().unwrap();
+    }
+
+    /// Shutdown must get the acceptor out of `accept` on any bind address
+    /// — wildcards of both families included — quickly, and leave the port
+    /// free for the next transport at once.
+    #[test]
+    fn shutdown_releases_the_listening_port_whatever_the_address() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0", "[::1]:0", "[::]:0"] {
+            let Ok(listener) = TcpListener::bind(bind) else {
+                continue; // no IPv6 on this host
+            };
+            let addr = listener.local_addr().unwrap();
+            let addrs: HashMap<NodeId, SocketAddr> = [(1, addr)].into();
+            let t: TcpTransport<KvWire> =
+                TcpTransport::with_listener(1, listener, addrs, TcpConfig::default()).unwrap();
+            let started = Instant::now();
+            drop(t);
+            assert!(
+                started.elapsed() < Duration::from_millis(500),
+                "{bind}: drop took {:?}",
+                started.elapsed()
+            );
+            TcpListener::bind(addr).unwrap_or_else(|e| panic!("{bind}: port still held: {e}"));
+        }
+        let v6: SocketAddr = "[::]:7".parse().unwrap();
+        assert_eq!(reachable(v6), "[::1]:7".parse().unwrap());
+        let v4: SocketAddr = "0.0.0.0:7".parse().unwrap();
+        assert_eq!(reachable(v4), "127.0.0.1:7".parse().unwrap());
+        assert_eq!(
+            reachable("10.1.2.3:7".parse().unwrap()).to_string(),
+            "10.1.2.3:7"
+        );
     }
 
     #[test]

@@ -94,8 +94,8 @@ def check_sharded_sweep(path, data):
     *measured* parallelism: shard groups scale across cores, so a host
     whose scheduler grants ~1 core (cgroup quota, single-cpu VM) runs
     every shard count at the same CPU-saturated ceiling — there the gate
-    demands that four shards do not collapse below one instead of a
-    physically impossible speedup."""
+    demands no multiplexing overhead instead of a physically impossible
+    speedup."""
     sweep = data.get("shard_sweep")
     if not isinstance(sweep, list) or len(sweep) < 3:
         errors.append(f"{path}: shard_sweep must be a list of >=3 points")
@@ -142,21 +142,15 @@ def check_sharded_sweep(path, data):
                 f"{path}: 1->4 shard scaling {scaling:.2f}x below the 1.5x gate "
                 f"on a host with {cores:.2f} effective cores"
             )
-    # Without spare cores every shard count is CPU-bound (since PR 13 no
-    # server naps between cycles, so one shard is no longer held to the
-    # same sleep-poll ceiling as four), four groups split each batch four
-    # ways, and the host's own speed swings between two ~100 ms points:
-    # 1.44, 0.93, 0.91, 0.76, 0.72 in five quick runs with every absolute
-    # rate 1.3-1.9x its old value. The gate is for a collapse, not 10 %.
-    elif scaling < 0.6:
+    elif scaling < 0.85:
         errors.append(
             f"{path}: 1->4 shard scaling {scaling:.2f}x shows multiplexing overhead "
-            f"(>= 0.6x required even without parallelism)"
+            f"(>= 0.85x required even without parallelism)"
         )
     else:
         print(
             f"check_bench: {path} host has {cores:.2f} effective cores -- parallel "
-            f"scaling impossible, enforcing the no-collapse gate ({scaling:.2f}x >= 0.6x)"
+            f"scaling impossible, enforcing the no-overhead gate ({scaling:.2f}x >= 0.85x)"
         )
     checks = data.get("checks")
     if not isinstance(checks, dict):
