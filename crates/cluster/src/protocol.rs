@@ -274,11 +274,7 @@ impl Replica for OmniReplica {
     }
 
     fn poll_decided(&mut self) -> Vec<u64> {
-        self.server
-            .poll_applied()
-            .into_iter()
-            .map(|c| c.id)
-            .collect()
+        self.server.poll_applied().iter().map(|c| c.id).collect()
     }
 
     fn is_leader(&self) -> bool {

@@ -28,7 +28,7 @@ use crate::messages::{
     ReadCheckAck, ReadIndexReq, ReadIndexResp, SnapshotAck, SnapshotChunk, SnapshotMeta,
 };
 use crate::snapshot::SnapshotData;
-use crate::storage::{EntryBatch, Storage, StorageError, TrimError};
+use crate::storage::{take_entries, EntryBatch, Storage, StorageError, TrimError};
 use crate::util::{majority, Entry, LogEntry, StopSign};
 use std::collections::HashMap;
 
@@ -329,6 +329,13 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
     /// until [`SequencePaxos::fail_recovery`] succeeds.
     pub fn halted(&self) -> Option<StorageError> {
         self.halted
+    }
+
+    /// Would [`SequencePaxos::append`] refuse with
+    /// [`ProposeErr::PendingReconfig`]? A stop-sign is in the log and this
+    /// replica is not halted.
+    pub(crate) fn pending_reconfig(&self) -> bool {
+        self.halted.is_none() && self.stopsign_idx.is_some()
     }
 
     /// Enter the halted (fail-stop) state: discard every queued outgoing
@@ -1203,7 +1210,7 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
         self.update_stopsign_after_overwrite(acc.sync_idx, &acc.suffix);
         let res = self
             .storage
-            .append_on_prefix(acc.sync_idx, acc.suffix.to_vec());
+            .append_on_prefix(acc.sync_idx, take_entries(acc.suffix, 0));
         if self.guard(res).is_none() {
             return;
         }
@@ -1384,11 +1391,9 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
             let effective_start = acc.start_idx.max(decided_idx);
             let skip = (effective_start - acc.start_idx) as usize;
             if skip < acc.entries.len() {
-                let fresh = &acc.entries[skip..];
-                self.update_stopsign_after_overwrite(effective_start, fresh);
-                let res = self
-                    .storage
-                    .append_on_prefix(effective_start, fresh.to_vec());
+                self.update_stopsign_after_overwrite(effective_start, &acc.entries[skip..]);
+                let fresh = take_entries(acc.entries, skip);
+                let res = self.storage.append_on_prefix(effective_start, fresh);
                 if self.guard(res).is_none() {
                     return; // entries not durable: send no Accepted
                 }
@@ -1430,12 +1435,17 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
             return;
         }
         let maj = majority(self.config.cluster_size());
-        let mut acks: Vec<u64> = self.leader_state.accepted.values().copied().collect();
-        if acks.len() < maj {
+        // The majority-th largest acknowledged length, found without
+        // allocating (quadratic in the cluster size, which is small).
+        let acks = &self.leader_state.accepted;
+        let Some(chosen) = acks
+            .values()
+            .copied()
+            .filter(|&v| acks.values().filter(|&&w| w >= v).count() >= maj)
+            .max()
+        else {
             return;
-        }
-        acks.sort_unstable_by(|a, b| b.cmp(a));
-        let chosen = acks[maj - 1];
+        };
         if chosen > self.storage.get_decided_idx() {
             let res = self.storage.set_decided_idx(chosen);
             let _ = self.guard(res);

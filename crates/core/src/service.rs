@@ -507,11 +507,12 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         self.snapshot_event.take()
     }
 
-    /// Entries applied since the last call (client notifications).
-    pub fn poll_applied(&mut self) -> Vec<T> {
+    /// Entries decided since the last call (client notifications),
+    /// borrowed from the log: the caller applies them by reference.
+    pub fn poll_applied(&mut self) -> &[T] {
         let from = (self.polled_idx.max(self.log_start) - self.log_start) as usize;
         self.polled_idx = self.decided_len();
-        self.log[from..].to_vec()
+        &self.log[from..]
     }
 
     /// Absolute service-log index of the first entry the next
@@ -574,19 +575,14 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     /// proposal is buffered and flushed as a batch into the next
     /// configuration (§7.3).
     pub fn propose(&mut self, entry: T) -> Result<(), ProposeErr> {
-        match &mut self.active {
-            Some(active) => match active.omni.append(entry.clone()) {
-                Err(ProposeErr::PendingReconfig) => {
-                    self.pending.push(entry);
-                    Ok(())
-                }
-                other => other,
-            },
-            None => {
-                self.pending.push(entry);
-                Ok(())
+        if let Some(active) = &mut self.active {
+            // Asked before appending, so the entry moves in uncopied.
+            if !active.omni.sequence_paxos().pending_reconfig() {
+                return active.omni.append(entry);
             }
         }
+        self.pending.push(entry);
+        Ok(())
     }
 
     /// Propose a whole batch of client commands as one contiguous append

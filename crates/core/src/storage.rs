@@ -31,8 +31,23 @@ use std::sync::Arc;
 ///
 /// This is the unit of zero-copy replication: the leader materializes a
 /// suffix once and fans it out to every follower (and every retransmission)
-/// by bumping a refcount instead of deep-copying the entries.
-pub type EntryBatch<T> = Arc<[LogEntry<T>]>;
+/// by bumping a refcount instead of deep-copying the entries. A receiver
+/// holding the only reference — every batch decoded off the wire — takes
+/// the entries by move (`take_entries`).
+pub type EntryBatch<T> = Arc<Vec<LogEntry<T>>>;
+
+/// The entries of `batch` from position `skip` on, moved out when this is
+/// the batch's only reference and copied only when it is still shared (an
+/// in-process fan-out hands one batch to several followers).
+pub(crate) fn take_entries<T: Entry>(batch: EntryBatch<T>, skip: usize) -> Vec<LogEntry<T>> {
+    match Arc::try_unwrap(batch) {
+        Ok(mut entries) => {
+            entries.drain(..skip);
+            entries
+        }
+        Err(shared) => shared[skip..].to_vec(),
+    }
+}
 
 /// The storage operation that failed (for diagnostics; the reaction is the
 /// same for all of them: halt, never ack, recover via the crash path).
@@ -197,7 +212,7 @@ pub trait Storage<T: Entry> {
     /// [`Storage::entries_ref`]; implementations that already hold shared
     /// batches may return them directly.
     fn shared_suffix(&self, from: u64) -> EntryBatch<T> {
-        self.entries_ref(from, self.get_log_len()).into()
+        Arc::new(self.entries_ref(from, self.get_log_len()).to_vec())
     }
 
     /// Make every mutation issued so far durable. Called by the replica

@@ -58,6 +58,7 @@ use crate::ballot::Ballot;
 use crate::snapshot::{SnapshotData, SnapshotRef};
 use crate::storage::{Storage, StorageError, StorageOp, TrimError};
 use crate::util::{Entry, LogEntry, StopSign};
+use crate::wire::{self, put_ballot, put_len_prefixed};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -188,33 +189,17 @@ fn scan_durable_point(bytes: &[u8]) -> u64 {
 /// FNV-1a over the framed bytes; cheap and sufficient to detect torn
 /// writes (we are not defending against bit rot here).
 fn checksum(tag: u8, payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    let mut mix = |b: u8| {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    };
-    mix(tag);
-    for &b in &(payload.len() as u32).to_le_bytes() {
-        mix(b);
-    }
-    for &b in payload {
-        mix(b);
-    }
-    h
+    wire::checksum_parts(&[&[tag], &(payload.len() as u32).to_le_bytes(), payload])
 }
 
-/// Append one framed record to `buf`.
-fn frame_into(buf: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+/// Append one framed record to `buf`, its payload written in place by
+/// `body`; the checksum runs over the tag, length and payload just written.
+fn frame_with(buf: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
     buf.push(tag);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&checksum(tag, payload).to_le_bytes());
-}
-
-fn put_ballot(buf: &mut Vec<u8>, b: Ballot) {
-    buf.extend_from_slice(&b.n.to_le_bytes());
-    buf.extend_from_slice(&b.priority.to_le_bytes());
-    buf.extend_from_slice(&b.pid.to_le_bytes());
+    put_len_prefixed(buf, body);
+    let crc = wire::checksum(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 fn get_u64(buf: &[u8], at: usize) -> Option<u64> {
@@ -229,28 +214,21 @@ fn get_ballot(buf: &[u8], at: usize) -> Option<Ballot> {
     ))
 }
 
+/// A normal entry is laid out as on the wire; a stop-sign keeps the WAL's
+/// own layout, its metadata running to the end of the entry unprefixed.
 fn put_log_entry<T: WalEncode>(buf: &mut Vec<u8>, e: &LogEntry<T>) {
-    match e {
-        LogEntry::Normal(t) => {
-            buf.push(0);
-            let mut inner = Vec::new();
-            t.encode(&mut inner);
-            buf.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&inner);
+    let LogEntry::StopSign(ss) = e else {
+        return wire::put_log_entry(buf, e);
+    };
+    buf.push(1);
+    put_len_prefixed(buf, |buf| {
+        buf.extend_from_slice(&ss.config_id.to_le_bytes());
+        buf.extend_from_slice(&(ss.next_nodes.len() as u32).to_le_bytes());
+        for &p in &ss.next_nodes {
+            buf.extend_from_slice(&p.to_le_bytes());
         }
-        LogEntry::StopSign(ss) => {
-            buf.push(1);
-            let mut inner = Vec::new();
-            inner.extend_from_slice(&ss.config_id.to_le_bytes());
-            inner.extend_from_slice(&(ss.next_nodes.len() as u32).to_le_bytes());
-            for &p in &ss.next_nodes {
-                inner.extend_from_slice(&p.to_le_bytes());
-            }
-            inner.extend_from_slice(&ss.metadata);
-            buf.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&inner);
-        }
-    }
+        buf.extend_from_slice(&ss.metadata);
+    });
 }
 
 fn get_log_entry<T: WalEncode>(buf: &[u8], at: &mut usize) -> Option<LogEntry<T>> {
@@ -595,22 +573,22 @@ impl<T: WalEncode> WalStorage<T> {
         if self.pending_appends == 0 {
             return;
         }
-        let start = self.log.len() - self.pending_appends;
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(self.pending_appends as u64).to_le_bytes());
-        for e in &self.log[start..] {
-            put_log_entry(&mut payload, e);
-        }
+        let tail = &self.log[self.log.len() - self.pending_appends..];
+        frame_with(&mut self.wbuf, TAG_APPEND, |buf| {
+            buf.extend_from_slice(&(tail.len() as u64).to_le_bytes());
+            for e in tail {
+                put_log_entry(buf, e);
+            }
+        });
         self.pending_appends = 0;
-        frame_into(&mut self.wbuf, TAG_APPEND, &payload);
         self.records_since_checkpoint += 1;
     }
 
     /// Buffer one non-append record, materializing pending appends first so
     /// that replay order matches mutation order.
-    fn buffer_record(&mut self, tag: u8, payload: &[u8]) {
+    fn buffer_record(&mut self, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
         self.materialize_appends();
-        frame_into(&mut self.wbuf, tag, payload);
+        frame_with(&mut self.wbuf, tag, body);
         self.records_since_checkpoint += 1;
     }
 
@@ -677,9 +655,12 @@ impl<T: WalEncode> WalStorage<T> {
             // marker itself stays unsynced — if it tears, replay merely
             // falls back to the previous durable point, which is exactly
             // a crash-before-marker and loses nothing acknowledged.
-            let mut marker = Vec::with_capacity(MARKER_LEN);
-            frame_into(&mut marker, TAG_COMMIT, &self.file_len.to_le_bytes());
-            self.file.write_all(&marker)?;
+            let at = self.file_len;
+            frame_with(&mut self.wbuf, TAG_COMMIT, |b| {
+                b.extend_from_slice(&at.to_le_bytes())
+            });
+            self.file.write_all(&self.wbuf)?;
+            self.wbuf.clear();
             self.file_len += MARKER_LEN as u64;
         }
         Ok(())
@@ -707,33 +688,32 @@ impl<T: WalEncode> WalStorage<T> {
             ));
         }
         self.materialize_appends();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.compacted_idx.to_le_bytes());
-        put_ballot(&mut payload, self.promise);
-        put_ballot(&mut payload, self.accepted_round);
-        payload.extend_from_slice(&self.decided_idx.to_le_bytes());
-        payload.extend_from_slice(&(self.log.len() as u64).to_le_bytes());
-        for e in &self.log {
-            put_log_entry(&mut payload, e);
-        }
-        match &self.snapshot {
-            Some(s) => {
-                payload.push(1);
-                payload.extend_from_slice(&s.idx.to_le_bytes());
-                payload.extend_from_slice(&(s.data.len() as u64).to_le_bytes());
-                payload.extend_from_slice(&s.data);
+        let mut frame = Vec::new();
+        frame_with(&mut frame, TAG_CHECKPOINT, |payload| {
+            payload.extend_from_slice(&self.compacted_idx.to_le_bytes());
+            put_ballot(payload, self.promise);
+            put_ballot(payload, self.accepted_round);
+            payload.extend_from_slice(&self.decided_idx.to_le_bytes());
+            payload.extend_from_slice(&(self.log.len() as u64).to_le_bytes());
+            for e in &self.log {
+                put_log_entry(payload, e);
             }
-            None => payload.push(0),
-        }
-        let mut frame = Vec::with_capacity(payload.len() + 9 + MARKER_LEN);
-        frame.push(TAG_CHECKPOINT);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&checksum(TAG_CHECKPOINT, &payload).to_le_bytes());
+            match &self.snapshot {
+                Some(s) => {
+                    payload.push(1);
+                    payload.extend_from_slice(&s.idx.to_le_bytes());
+                    payload.extend_from_slice(&(s.data.len() as u64).to_le_bytes());
+                    payload.extend_from_slice(&s.data);
+                }
+                None => payload.push(0),
+            }
+        });
         // The rename makes the whole temp file durable at once, so it can
         // carry its own durable-point marker covering the checkpoint.
         let ckpt_end = frame.len() as u64;
-        frame_into(&mut frame, TAG_COMMIT, &ckpt_end.to_le_bytes());
+        frame_with(&mut frame, TAG_COMMIT, |b| {
+            b.extend_from_slice(&ckpt_end.to_le_bytes())
+        });
         if let Err(e) = self.checkpoint_write(&frame) {
             self.poisoned = true;
             return Err(e);
@@ -831,16 +811,16 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
         self.materialize_appends();
         let rel = self.rel(from_idx);
         self.log.truncate(rel);
-        self.buffer_record(TAG_TRUNCATE, &from_idx.to_le_bytes());
+        self.buffer_record(TAG_TRUNCATE, |b| {
+            b.extend_from_slice(&from_idx.to_le_bytes())
+        });
         self.append_entries(entries)
     }
 
     fn set_promise(&mut self, b: Ballot) -> Result<(), StorageError> {
         self.check_poison(StorageOp::SetPromise)?;
-        let mut payload = Vec::new();
-        put_ballot(&mut payload, b);
         self.promise = b;
-        self.buffer_record(TAG_PROMISE, &payload);
+        self.buffer_record(TAG_PROMISE, |buf| put_ballot(buf, b));
         Ok(())
     }
 
@@ -850,10 +830,8 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
 
     fn set_accepted_round(&mut self, b: Ballot) -> Result<(), StorageError> {
         self.check_poison(StorageOp::SetAcceptedRound)?;
-        let mut payload = Vec::new();
-        put_ballot(&mut payload, b);
         self.accepted_round = b;
-        self.buffer_record(TAG_ACCEPTED_ROUND, &payload);
+        self.buffer_record(TAG_ACCEPTED_ROUND, |buf| put_ballot(buf, b));
         Ok(())
     }
 
@@ -864,7 +842,7 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
     fn set_decided_idx(&mut self, idx: u64) -> Result<(), StorageError> {
         self.check_poison(StorageOp::SetDecidedIdx)?;
         self.decided_idx = idx;
-        self.buffer_record(TAG_DECIDED, &idx.to_le_bytes());
+        self.buffer_record(TAG_DECIDED, |b| b.extend_from_slice(&idx.to_le_bytes()));
         Ok(())
     }
 
@@ -909,7 +887,7 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
         let rel = self.rel(idx);
         self.log.drain(..rel);
         self.compacted_idx = idx;
-        self.buffer_record(TAG_TRIM, &idx.to_le_bytes());
+        self.buffer_record(TAG_TRIM, |b| b.extend_from_slice(&idx.to_le_bytes()));
         Ok(())
     }
 
@@ -943,10 +921,10 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
             idx,
             data: data.clone(),
         });
-        let mut payload = Vec::with_capacity(8 + data.len());
-        payload.extend_from_slice(&idx.to_le_bytes());
-        payload.extend_from_slice(&data);
-        self.buffer_record(TAG_SNAPSHOT, &payload);
+        self.buffer_record(TAG_SNAPSHOT, |b| {
+            b.extend_from_slice(&idx.to_le_bytes());
+            b.extend_from_slice(&data);
+        });
         Ok(())
     }
 
@@ -961,10 +939,10 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
             idx,
             data: data.clone(),
         });
-        let mut payload = Vec::with_capacity(8 + data.len());
-        payload.extend_from_slice(&idx.to_le_bytes());
-        payload.extend_from_slice(&data);
-        self.buffer_record(TAG_SNAPSHOT_INSTALL, &payload);
+        self.buffer_record(TAG_SNAPSHOT_INSTALL, |b| {
+            b.extend_from_slice(&idx.to_le_bytes());
+            b.extend_from_slice(&data);
+        });
         Ok(())
     }
 

@@ -40,6 +40,7 @@ use crate::storage::EntryBatch;
 use crate::util::{LogEntry, StopSign};
 use crate::wal::WalEncode;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Version byte of this codec schema. Bump when an encoding changes
@@ -120,7 +121,18 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
-fn put_ballot(buf: &mut Vec<u8>, b: Ballot) {
+/// Append a `u32` length-prefixed value encoded in place: reserve the
+/// length, let `body` write the value straight into `buf`, then fill the
+/// length in. No scratch buffer, no copy.
+pub fn put_len_prefixed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    body(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+pub(crate) fn put_ballot(buf: &mut Vec<u8>, b: Ballot) {
     buf.extend_from_slice(&b.n.to_le_bytes());
     buf.extend_from_slice(&b.priority.to_le_bytes());
     buf.extend_from_slice(&b.pid.to_le_bytes());
@@ -245,6 +257,10 @@ impl<'a> Reader<'a> {
 /// once and reuses the bytes N-1 times — the zero-copy hot path's
 /// refcount sharing, carried through serialization.
 ///
+/// A miss encodes straight into the caller's buffer and copies the bytes
+/// into an arena reused from cycle to cycle: a steady fan-out allocates
+/// nothing.
+///
 /// Entries are keyed by the batch's allocation identity (pointer, length).
 /// That identity is only meaningful while the batch is alive, so the
 /// contract is cycle-scoped: callers must [`BatchCache::reset`] once the
@@ -253,7 +269,8 @@ impl<'a> Reader<'a> {
 /// batches are kept alive by the very messages being encoded.
 #[derive(Debug, Default)]
 pub struct BatchCache {
-    blocks: HashMap<(usize, usize), Arc<[u8]>>,
+    blocks: HashMap<(usize, usize), Range<usize>>,
+    arena: Vec<u8>,
     hits: u64,
     misses: u64,
 }
@@ -262,6 +279,10 @@ pub struct BatchCache {
 /// distinct batches, so overflowing this means the contract is being
 /// ignored — clear rather than grow without bound.
 const BATCH_CACHE_CAP: usize = 128;
+
+/// Arena capacity kept across cycles; a cycle that encoded more (a large
+/// catch-up) gives its memory back at the next reset.
+const BATCH_ARENA_KEEP: usize = 1 << 20;
 
 impl BatchCache {
     /// A fresh cache.
@@ -273,6 +294,8 @@ impl BatchCache {
     /// allocation identities are only stable within one).
     pub fn reset(&mut self) {
         self.blocks.clear();
+        self.arena.clear();
+        self.arena.shrink_to(BATCH_ARENA_KEEP);
     }
 
     /// (hits, misses) since construction — observability for the
@@ -281,47 +304,47 @@ impl BatchCache {
         (self.hits, self.misses)
     }
 
-    fn memoized<F: FnOnce() -> Vec<u8>>(&mut self, key: (usize, usize), encode: F) -> Arc<[u8]> {
-        if let Some(b) = self.blocks.get(&key) {
+    fn memoized(
+        &mut self,
+        buf: &mut Vec<u8>,
+        key: (usize, usize),
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        if let Some(r) = self.blocks.get(&key) {
             self.hits += 1;
-            return b.clone();
+            buf.extend_from_slice(&self.arena[r.clone()]);
+            return;
         }
         self.misses += 1;
         if self.blocks.len() >= BATCH_CACHE_CAP {
-            self.blocks.clear();
+            self.reset();
         }
-        let block: Arc<[u8]> = encode().into();
-        self.blocks.insert(key, block.clone());
-        block
+        let start = buf.len();
+        encode(buf);
+        let at = self.arena.len();
+        self.arena.extend_from_slice(&buf[start..]);
+        self.blocks.insert(key, at..self.arena.len());
     }
 
-    /// Encoded block for a shared log batch: `[count u32][LogEntry...]`.
-    pub fn log_batch<T: WalEncode>(&mut self, batch: &EntryBatch<T>) -> Arc<[u8]> {
+    /// Append a shared log batch: `[count u32][LogEntry...]`.
+    pub fn log_batch<T: WalEncode>(&mut self, buf: &mut Vec<u8>, batch: &EntryBatch<T>) {
         let key = (Arc::as_ptr(batch) as *const u8 as usize, batch.len());
-        self.memoized(key, || {
-            let mut buf = Vec::new();
+        self.memoized(buf, key, |buf| {
             buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
             for e in batch.iter() {
-                put_log_entry(&mut buf, e);
+                put_log_entry(buf, e);
             }
-            buf
         })
     }
 
-    /// Encoded block for a shared migration segment: `[count u32][[len
-    /// u32][T]...]`.
-    pub fn entry_slice<T: WalEncode>(&mut self, entries: &Arc<[T]>) -> Arc<[u8]> {
+    /// Append a shared migration segment: `[count u32][[len u32][T]...]`.
+    pub fn entry_slice<T: WalEncode>(&mut self, buf: &mut Vec<u8>, entries: &Arc<[T]>) {
         let key = (Arc::as_ptr(entries) as *const u8 as usize, entries.len());
-        self.memoized(key, || {
-            let mut buf = Vec::new();
+        self.memoized(buf, key, |buf| {
             buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            let mut scratch = Vec::new();
             for e in entries.iter() {
-                scratch.clear();
-                e.encode(&mut scratch);
-                put_bytes(&mut buf, &scratch);
+                put_len_prefixed(buf, |buf| e.encode(buf));
             }
-            buf
         })
     }
 }
@@ -331,20 +354,11 @@ impl BatchCache {
 
 /// Append one log entry: `[kind u8][len u32][payload]`.
 pub fn put_log_entry<T: WalEncode>(buf: &mut Vec<u8>, e: &LogEntry<T>) {
-    match e {
-        LogEntry::Normal(t) => {
-            buf.push(0);
-            let mut inner = Vec::new();
-            t.encode(&mut inner);
-            put_bytes(buf, &inner);
-        }
-        LogEntry::StopSign(ss) => {
-            buf.push(1);
-            let mut inner = Vec::new();
-            put_stop_sign(&mut inner, ss);
-            put_bytes(buf, &inner);
-        }
-    }
+    buf.push(e.is_stopsign() as u8);
+    put_len_prefixed(buf, |buf| match e {
+        LogEntry::Normal(t) => t.encode(buf),
+        LogEntry::StopSign(ss) => put_stop_sign(buf, ss),
+    });
 }
 
 /// Read one log entry written by [`put_log_entry`].
@@ -473,13 +487,13 @@ impl<T: WalEncode> Wire for PaxosMsg<T> {
                 put_ballot(buf, a.n);
                 buf.extend_from_slice(&a.sync_idx.to_le_bytes());
                 buf.extend_from_slice(&a.decided_idx.to_le_bytes());
-                buf.extend_from_slice(&cache.log_batch(&a.suffix));
+                cache.log_batch(buf, &a.suffix);
             }
             PaxosMsg::AcceptDecide(a) => {
                 put_ballot(buf, a.n);
                 buf.extend_from_slice(&a.start_idx.to_le_bytes());
                 buf.extend_from_slice(&a.decided_idx.to_le_bytes());
-                buf.extend_from_slice(&cache.log_batch(&a.entries));
+                cache.log_batch(buf, &a.entries);
             }
             PaxosMsg::Accepted(a) => {
                 put_ballot(buf, a.n);
@@ -782,7 +796,7 @@ impl<T: WalEncode> Wire for ServiceMsg<T> {
                 requested_to,
             } => {
                 buf.extend_from_slice(&start.to_le_bytes());
-                buf.extend_from_slice(&cache.entry_slice(entries));
+                cache.entry_slice(buf, entries);
                 buf.extend_from_slice(&served_to.to_le_bytes());
                 buf.extend_from_slice(&requested_to.to_le_bytes());
             }

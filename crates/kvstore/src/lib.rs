@@ -22,7 +22,8 @@ pub mod wire;
 
 pub use shard::{op_spans_shards, shard_config, shard_of_key, shard_of_op, ShardedKvNode};
 pub use store::{
-    KvCommand, KvNode, KvOp, KvResult, KvStateMachine, ReadMode, TxnGuard, TxnId, TxnSpec, WriteOp,
+    KvCommand, KvNode, KvOp, KvResult, KvStateMachine, ReadMode, TxnGuard, TxnId, TxnPrepare,
+    TxnSpec, WriteOp,
 };
 pub use txn::{TxnCoordinator, TxnOutcome, TXN_CLIENT_FLAG};
 pub use wire::{KvWire, TxnState};

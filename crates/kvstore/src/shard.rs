@@ -49,6 +49,7 @@ pub fn shard_of_key(key: &str, n_shards: usize) -> u32 {
 /// coordinator and never key-routed; their fallback here (by transaction
 /// id) only keeps the function total.
 pub fn shard_of_op(op: &KvOp, n_shards: usize) -> u32 {
+    let by_txn = |(a, b): (u64, u64)| (a.wrapping_add(b) % n_shards as u64) as u32;
     let key = match op {
         KvOp::Put { key, .. }
         | KvOp::Delete { key }
@@ -60,10 +61,10 @@ pub fn shard_of_op(op: &KvOp, n_shards: usize) -> u32 {
             Some(w) => w.key(),
             None => return 0,
         },
-        KvOp::TxnPrepare { txn, .. }
-        | KvOp::TxnDecide { txn, .. }
-        | KvOp::TxnCommit { txn }
-        | KvOp::TxnAbort { txn } => return (txn.0.wrapping_add(txn.1) % n_shards as u64) as u32,
+        KvOp::TxnPrepare(p) => return by_txn(p.txn),
+        KvOp::TxnDecide { txn, .. } | KvOp::TxnCommit { txn } | KvOp::TxnAbort { txn } => {
+            return by_txn(*txn)
+        }
     };
     shard_of_key(key, n_shards)
 }

@@ -5,6 +5,7 @@ use omnipaxos::service::{OmniPaxosServer, ServerConfig, ServiceMsg};
 use omnipaxos::snapshot::{SnapshotData, Snapshottable};
 use omnipaxos::storage::{MemoryStorage, Storage, TrimError};
 use omnipaxos::{Entry, NodeId};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Transaction identity: the issuing client's `(client, seq)` pair.
@@ -127,6 +128,22 @@ impl TxnSpec {
     }
 }
 
+/// 2PC participant record (see `crate::txn`): iff every guard holds and no
+/// touched key is locked by another transaction, stage `writes` and lock
+/// every touched key (vote yes); otherwise stage nothing (vote no).
+/// Idempotent by `txn`; bypasses the session table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TxnPrepare {
+    pub txn: TxnId,
+    /// The shard whose log holds the commit/abort decision.
+    pub coord_shard: u32,
+    /// Every participant shard — recovery needs the full set to drive an
+    /// orphaned transaction to resolution from any replica.
+    pub participants: Vec<u32>,
+    pub guards: Vec<TxnGuard>,
+    pub writes: Vec<WriteOp>,
+}
+
 /// A key-value operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvOp {
@@ -165,20 +182,9 @@ pub enum KvOp {
     /// linearizable). The sharded gateway admits a batch only if every
     /// key lives on one shard; spanning batches earn a typed error.
     WriteBatch { writes: Vec<WriteOp> },
-    /// 2PC participant record (see `crate::txn`): iff every guard holds
-    /// and no touched key is locked by another transaction, stage
-    /// `writes` and lock every touched key (vote yes); otherwise stage
-    /// nothing (vote no). Idempotent by `txn`; bypasses the session table.
-    TxnPrepare {
-        txn: TxnId,
-        /// The shard whose log holds the commit/abort decision.
-        coord_shard: u32,
-        /// Every participant shard — recovery needs the full set to drive
-        /// an orphaned transaction to resolution from any replica.
-        participants: Vec<u32>,
-        guards: Vec<TxnGuard>,
-        writes: Vec<WriteOp>,
-    },
+    /// 2PC participant record (see `crate::txn`), boxed so that this rare
+    /// record does not set the size of every log slot.
+    TxnPrepare(Box<TxnPrepare>),
     /// 2PC decision record, proposed into the *coordinator shard's* log.
     /// The first decision for `txn` wins and is immutable; later
     /// conflicting records are no-ops that report the recorded decision —
@@ -206,6 +212,10 @@ pub struct KvCommand {
     pub op: KvOp,
 }
 
+// A put is the common log entry; every slot, clone and `Vec` growth pays
+// for the largest variant.
+const _: () = assert!(std::mem::size_of::<KvCommand>() <= 80);
+
 impl Entry for KvCommand {
     fn size_bytes(&self) -> usize {
         let op = match &self.op {
@@ -216,15 +226,10 @@ impl Entry for KvCommand {
             KvOp::Read { key } => key.len(),
             KvOp::Cas { key, .. } => key.len() + 18,
             KvOp::WriteBatch { writes } => 4 + writes.iter().map(|w| w.size_bytes()).sum::<usize>(),
-            KvOp::TxnPrepare {
-                participants,
-                guards,
-                writes,
-                ..
-            } => {
-                28 + 4 * participants.len()
-                    + guards.iter().map(|g| g.size_bytes()).sum::<usize>()
-                    + writes.iter().map(|w| w.size_bytes()).sum::<usize>()
+            KvOp::TxnPrepare(p) => {
+                28 + 4 * p.participants.len()
+                    + p.guards.iter().map(|g| g.size_bytes()).sum::<usize>()
+                    + p.writes.iter().map(|w| w.size_bytes()).sum::<usize>()
             }
             KvOp::TxnDecide { .. } => 17,
             KvOp::TxnCommit { .. } | KvOp::TxnAbort { .. } => 16,
@@ -382,18 +387,17 @@ impl KvStateMachine {
     /// `applied: false`. Transaction records bypass the session table —
     /// they are idempotent by `txn` id and may be driven by any number of
     /// recovering coordinators.
-    pub fn apply(&mut self, cmd: KvCommand) -> KvResult {
-        let (value, applied) = match cmd.op {
-            KvOp::TxnPrepare {
-                txn,
-                coord_shard,
-                participants,
-                guards,
-                writes,
-            } => self.apply_prepare(txn, coord_shard, participants, guards, writes),
-            KvOp::TxnDecide { txn, commit } => self.apply_decide(txn, commit),
-            KvOp::TxnCommit { txn } => self.apply_commit(txn),
-            KvOp::TxnAbort { txn } => self.apply_abort(txn),
+    ///
+    /// The command is read by reference (an owned one is accepted too):
+    /// a put to an existing key updates the value in place, and a key is
+    /// copied into the map only on its first insert.
+    pub fn apply(&mut self, cmd: impl Borrow<KvCommand>) -> KvResult {
+        let cmd = cmd.borrow();
+        let (value, applied) = match &cmd.op {
+            KvOp::TxnPrepare(p) => self.apply_prepare(p),
+            &KvOp::TxnDecide { txn, commit } => self.apply_decide(txn, commit),
+            &KvOp::TxnCommit { txn } => self.apply_commit(txn),
+            &KvOp::TxnAbort { txn } => self.apply_abort(txn),
             op => {
                 // Session dedup: at-most-once per (client, seq). Reads are
                 // also markers, so they participate in the same numbering.
@@ -443,65 +447,67 @@ impl KvStateMachine {
     /// transaction rejects every plain write touching it (`applied:
     /// false`, client retries) — writes sneaking past a prepare would
     /// invalidate the guard the participant already voted yes on.
-    fn apply_op(&mut self, op: KvOp) -> (Option<i64>, bool) {
-        match op {
-            KvOp::Put { key, value } => {
-                if self.locks.contains_key(&key) {
+    fn apply_op(&mut self, op: &KvOp) -> (Option<i64>, bool) {
+        match *op {
+            KvOp::Put { ref key, value } => {
+                if self.locks.contains_key(key) {
                     return (None, false);
                 }
-                self.state.insert(key, value);
-                (Some(value), true)
+                (Some(self.update(key, |_| value)), true)
             }
-            KvOp::Delete { key } => {
-                if self.locks.contains_key(&key) {
+            KvOp::Delete { ref key } => {
+                if self.locks.contains_key(key) {
                     return (None, false);
                 }
-                self.state.remove(&key);
+                self.state.remove(key);
                 (None, true)
             }
-            KvOp::Add { key, delta } => {
-                if self.locks.contains_key(&key) {
+            KvOp::Add { ref key, delta } => {
+                if self.locks.contains_key(key) {
                     return (None, false);
                 }
-                let v = self.state.entry(key).or_insert(0);
-                *v += delta;
-                (Some(*v), true)
+                (Some(self.update(key, |v| v + delta)), true)
             }
-            KvOp::Transfer { from, to, amount } => {
-                if self.locks.contains_key(&from) || self.locks.contains_key(&to) {
+            KvOp::Transfer {
+                ref from,
+                ref to,
+                amount,
+            } => {
+                if self.locks.contains_key(from) || self.locks.contains_key(to) {
                     return (None, false);
                 }
-                let balance = self.state.get(&from).copied().unwrap_or(0);
+                let balance = self.state.get(from).copied().unwrap_or(0);
                 if balance >= amount {
-                    *self.state.entry(from).or_insert(0) -= amount;
-                    *self.state.entry(to).or_insert(0) += amount;
+                    self.update(from, |v| v - amount);
+                    self.update(to, |v| v + amount);
                     (Some(amount), true)
                 } else {
                     (None, false)
                 }
             }
-            KvOp::Read { key } => (self.state.get(&key).copied(), true),
-            KvOp::Cas { key, expect, set } => {
-                if self.locks.contains_key(&key) {
+            KvOp::Read { ref key } => (self.state.get(key).copied(), true),
+            KvOp::Cas {
+                ref key,
+                expect,
+                set,
+            } => {
+                if self.locks.contains_key(key) {
                     return (None, false);
                 }
-                let actual = self.state.get(&key).copied();
+                let actual = self.state.get(key).copied();
                 if actual != expect {
                     // Lost the race: report the actual value, applied=false.
                     return (actual, false);
                 }
                 match set {
-                    Some(v) => {
-                        self.state.insert(key, v);
-                        (Some(v), true)
-                    }
+                    Some(v) => (Some(self.update(key, |_| v)), true),
                     None => {
-                        self.state.remove(&key);
+                        self.state.remove(key);
                         (None, true)
                     }
                 }
             }
-            KvOp::WriteBatch { writes } => {
+            KvOp::WriteBatch { ref writes } => {
                 if writes.iter().any(|w| self.locks.contains_key(w.key())) {
                     return (None, false);
                 }
@@ -511,23 +517,39 @@ impl KvStateMachine {
                 }
                 (Some(n as i64), true)
             }
-            KvOp::TxnPrepare { .. }
+            KvOp::TxnPrepare(_)
             | KvOp::TxnDecide { .. }
             | KvOp::TxnCommit { .. }
             | KvOp::TxnAbort { .. } => unreachable!("txn records routed in apply()"),
         }
     }
 
-    fn apply_write(&mut self, w: WriteOp) {
-        match w {
-            WriteOp::Put { key, value } => {
-                self.state.insert(key, value);
+    fn apply_write(&mut self, w: &WriteOp) {
+        match *w {
+            WriteOp::Put { ref key, value } => {
+                self.update(key, |_| value);
             }
-            WriteOp::Delete { key } => {
-                self.state.remove(&key);
+            WriteOp::Delete { ref key } => {
+                self.state.remove(key);
             }
-            WriteOp::Add { key, delta } => {
-                *self.state.entry(key).or_insert(0) += delta;
+            WriteOp::Add { ref key, delta } => {
+                self.update(key, |v| v + delta);
+            }
+        }
+    }
+
+    /// Set `key` to `f(its value)` (absent counts as 0) and return the new
+    /// value; the key is copied into the map only on its first insert.
+    fn update(&mut self, key: &str, f: impl FnOnce(i64) -> i64) -> i64 {
+        match self.state.get_mut(key) {
+            Some(v) => {
+                *v = f(*v);
+                *v
+            }
+            None => {
+                let v = f(0);
+                self.state.insert(key.to_owned(), v);
+                v
             }
         }
     }
@@ -536,14 +558,8 @@ impl KvStateMachine {
     /// holds and no touched key is locked by another transaction.
     /// Idempotent: a duplicate prepare of an already-prepared or
     /// already-resolved transaction re-reports without re-staging.
-    fn apply_prepare(
-        &mut self,
-        txn: TxnId,
-        coord_shard: u32,
-        participants: Vec<u32>,
-        guards: Vec<TxnGuard>,
-        writes: Vec<WriteOp>,
-    ) -> (Option<i64>, bool) {
+    fn apply_prepare(&mut self, p: &TxnPrepare) -> (Option<i64>, bool) {
+        let txn = p.txn;
         if let Some(&committed) = self.resolved.get(&txn) {
             // Already resolved here: a late duplicate prepare must not
             // re-stage. Report the outcome, vote "no" so a confused
@@ -558,15 +574,16 @@ impl KvStateMachine {
             // coordinator shard): refuse to prepare after the fact.
             return (Some(0), false);
         }
-        let mut keys: Vec<String> = guards
+        let mut keys: Vec<String> = p
+            .guards
             .iter()
             .map(|g| g.key().to_string())
-            .chain(writes.iter().map(|w| w.key().to_string()))
+            .chain(p.writes.iter().map(|w| w.key().to_string()))
             .collect();
         keys.sort();
         keys.dedup();
         let conflict = keys.iter().any(|k| self.locks.contains_key(k));
-        let holds = guards.iter().all(|g| g.holds(&self.state));
+        let holds = p.guards.iter().all(|g| g.holds(&self.state));
         if conflict || !holds {
             return (None, false); // vote no; nothing staged, nothing locked
         }
@@ -576,9 +593,9 @@ impl KvStateMachine {
         self.prepared.insert(
             txn,
             PreparedTxn {
-                coord_shard,
-                participants,
-                writes,
+                coord_shard: p.coord_shard,
+                participants: p.participants.clone(),
+                writes: p.writes.clone(),
                 locked: keys,
             },
         );
@@ -605,7 +622,7 @@ impl KvStateMachine {
                 for k in &p.locked {
                     self.locks.remove(k);
                 }
-                for w in p.writes {
+                for w in &p.writes {
                     self.apply_write(w);
                 }
                 self.resolved.insert(txn, true);
@@ -1078,8 +1095,7 @@ impl<S: Storage<KvCommand>> KvNode<S> {
             self.sm.restore(&data);
         }
         for cmd in self.server.poll_applied() {
-            let result = self.sm.apply(cmd);
-            self.results.push(result);
+            self.results.push(self.sm.apply(cmd));
         }
         // Resolve read-index grants into apply barriers, then serve every
         // log-free read whose barrier the apply cursor has reached.
@@ -1886,7 +1902,7 @@ mod tests {
         let r = sm.apply(KvCommand {
             client: 0,
             seq: 0,
-            op: KvOp::TxnPrepare {
+            op: KvOp::TxnPrepare(Box::new(TxnPrepare {
                 txn,
                 coord_shard: 0,
                 participants: vec![0],
@@ -1898,7 +1914,7 @@ mod tests {
                         delta: 1,
                     })
                     .collect(),
-            },
+            })),
         });
         (r.value, r.applied)
     }
@@ -1920,7 +1936,7 @@ mod tests {
             &mut sm,
             0,
             0,
-            KvOp::TxnPrepare {
+            KvOp::TxnPrepare(Box::new(TxnPrepare {
                 txn,
                 coord_shard: 1,
                 participants: vec![0, 1],
@@ -1932,7 +1948,7 @@ mod tests {
                     key: "acct".into(),
                     delta: -50,
                 }],
-            },
+            })),
         );
         assert!(r.applied, "guard holds: vote yes");
         assert_eq!(sm.locks().get("acct"), Some(&txn));
@@ -2009,7 +2025,7 @@ mod tests {
             &mut sm,
             0,
             0,
-            KvOp::TxnPrepare {
+            KvOp::TxnPrepare(Box::new(TxnPrepare {
                 txn: (1, 1),
                 coord_shard: 0,
                 participants: vec![0],
@@ -2021,7 +2037,7 @@ mod tests {
                     key: "a".into(),
                     delta: -10,
                 }],
-            },
+            })),
         );
         assert!(!r.applied, "failed guard votes no");
         assert!(sm.prepared().is_empty(), "no-vote stages nothing");

@@ -45,7 +45,7 @@
 //! shards regain quorum: no orphaned prepare locks survive a heal.
 
 use crate::shard::{shard_of_key, ShardedKvNode};
-use crate::store::{KvCommand, KvOp, KvResult, TxnGuard, TxnId, TxnSpec, WriteOp};
+use crate::store::{KvCommand, KvOp, KvResult, TxnGuard, TxnId, TxnPrepare, TxnSpec, WriteOp};
 use omnipaxos::storage::Storage;
 use omnipaxos::NodeId;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -214,13 +214,13 @@ impl TxnCoordinator {
         }
         let participants: Vec<u32> = parts.keys().copied().collect();
         for (&shard, (guards, writes)) in &parts {
-            let op = KvOp::TxnPrepare {
+            let op = KvOp::TxnPrepare(Box::new(TxnPrepare {
                 txn,
                 coord_shard,
                 participants: participants.clone(),
                 guards: guards.clone(),
                 writes: writes.clone(),
-            };
+            }));
             self.propose(node, shard, op, Pending::Prepare { txn, shard });
         }
         self.runs.insert(
@@ -434,13 +434,13 @@ impl TxnCoordinator {
                         }
                         todo.push((
                             shard,
-                            KvOp::TxnPrepare {
+                            KvOp::TxnPrepare(Box::new(TxnPrepare {
                                 txn,
                                 coord_shard,
                                 participants: participants.clone(),
                                 guards: guards.clone(),
                                 writes: writes.clone(),
-                            },
+                            })),
                             Pending::Prepare { txn, shard },
                         ));
                     }

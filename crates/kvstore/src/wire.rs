@@ -13,7 +13,7 @@
 //! Discriminants are stable and append-only, like every enum on the wire
 //! (see `omnipaxos::messages` for the forward-compatibility rules).
 
-use crate::store::{KvCommand, KvOp, KvResult, ReadMode, TxnGuard, TxnSpec, WriteOp};
+use crate::store::{KvCommand, KvOp, KvResult, ReadMode, TxnGuard, TxnPrepare, TxnSpec, WriteOp};
 use omnipaxos::wire::{put_str, BatchCache, Reader, Wire, WireError};
 use omnipaxos::{NodeId, WalEncode};
 
@@ -175,23 +175,17 @@ impl WalEncode for KvCommand {
                 buf.push(6);
                 put_writes(buf, writes);
             }
-            KvOp::TxnPrepare {
-                txn,
-                coord_shard,
-                participants,
-                guards,
-                writes,
-            } => {
+            KvOp::TxnPrepare(p) => {
                 buf.push(7);
-                buf.extend_from_slice(&txn.0.to_le_bytes());
-                buf.extend_from_slice(&txn.1.to_le_bytes());
-                buf.extend_from_slice(&coord_shard.to_le_bytes());
-                buf.extend_from_slice(&(participants.len() as u32).to_le_bytes());
-                for &p in participants {
-                    buf.extend_from_slice(&p.to_le_bytes());
+                buf.extend_from_slice(&p.txn.0.to_le_bytes());
+                buf.extend_from_slice(&p.txn.1.to_le_bytes());
+                buf.extend_from_slice(&p.coord_shard.to_le_bytes());
+                buf.extend_from_slice(&(p.participants.len() as u32).to_le_bytes());
+                for &s in &p.participants {
+                    buf.extend_from_slice(&s.to_le_bytes());
                 }
-                put_guards(buf, guards);
-                put_writes(buf, writes);
+                put_guards(buf, &p.guards);
+                put_writes(buf, &p.writes);
             }
             KvOp::TxnDecide { txn, commit } => {
                 buf.push(8);
@@ -261,13 +255,13 @@ fn decode_command(r: &mut Reader) -> Result<KvCommand, WireError> {
             let participants = (0..n)
                 .map(|_| r.u32("TxnPrepare.participant"))
                 .collect::<Result<_, _>>()?;
-            KvOp::TxnPrepare {
+            KvOp::TxnPrepare(Box::new(TxnPrepare {
                 txn,
                 coord_shard,
                 participants,
                 guards: get_guards(r)?,
                 writes: get_writes(r)?,
-            }
+            }))
         }
         8 => KvOp::TxnDecide {
             txn: get_txn_id(r)?,
@@ -607,7 +601,7 @@ mod tests {
                     },
                 ],
             },
-            KvOp::TxnPrepare {
+            KvOp::TxnPrepare(Box::new(TxnPrepare {
                 txn: (7, 12),
                 coord_shard: 1,
                 participants: vec![0, 1, 3],
@@ -625,7 +619,7 @@ mod tests {
                     key: "from".into(),
                     delta: -50,
                 }],
-            },
+            })),
             KvOp::TxnDecide {
                 txn: (7, 12),
                 commit: true,

@@ -797,7 +797,7 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             };
             if matches!(
                 cmd.op,
-                kvstore::KvOp::TxnPrepare { .. }
+                kvstore::KvOp::TxnPrepare(_)
                     | kvstore::KvOp::TxnDecide { .. }
                     | kvstore::KvOp::TxnCommit { .. }
                     | kvstore::KvOp::TxnAbort { .. }

@@ -15,7 +15,9 @@
 //!    clusters. Regenerate deliberately with:
 //!    `CORPUS_WRITE=1 cargo test -p net --test codec_corpus`.
 
-use kvstore::{KvCommand, KvOp, KvResult, KvWire, ReadMode, TxnGuard, TxnSpec, TxnState, WriteOp};
+use kvstore::{
+    KvCommand, KvOp, KvResult, KvWire, ReadMode, TxnGuard, TxnPrepare, TxnSpec, TxnState, WriteOp,
+};
 use net::client::{READ_FLAG, TXN_FLAG};
 use net::frame::{self, kind, FrameError};
 use omnipaxos::messages::*;
@@ -464,7 +466,7 @@ fn kv_samples() -> Vec<(String, KvWire)> {
             KvWire::Request(cmd(
                 (1 << 62) | 1, // coordinator identity: TXN_CLIENT_FLAG | pid
                 1,
-                KvOp::TxnPrepare {
+                KvOp::TxnPrepare(Box::new(TxnPrepare {
                     txn: (9, TXN_FLAG | 1),
                     coord_shard: 0,
                     participants: vec![0, 2],
@@ -482,7 +484,7 @@ fn kv_samples() -> Vec<(String, KvWire)> {
                             delta: 30,
                         },
                     ],
-                },
+                })),
             )),
         ),
         (
@@ -490,7 +492,7 @@ fn kv_samples() -> Vec<(String, KvWire)> {
             KvWire::Request(cmd(
                 (1 << 62) | 2,
                 2,
-                KvOp::TxnPrepare {
+                KvOp::TxnPrepare(Box::new(TxnPrepare {
                     txn: (9, TXN_FLAG | 2),
                     coord_shard: 1,
                     participants: vec![1],
@@ -502,7 +504,7 @@ fn kv_samples() -> Vec<(String, KvWire)> {
                         key: "ver".into(),
                         value: 5,
                     }],
-                },
+                })),
             )),
         ),
         (

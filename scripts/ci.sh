@@ -115,10 +115,37 @@ stage_bench() {
 # measures the crates through their public surface), so nothing above
 # compiles it: a rename in crates/net would break the ruler unnoticed.
 stage_benchmark() {
+    # Stages run as `stage_x || rc=$?`, where `set -e` is off: chain by hand.
     echo "==> [benchmark] unit tests of the benchmark package"
-    cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+    cargo test --release --offline -q --manifest-path benchmark/Cargo.toml || return 1
     echo "==> [benchmark] smoke: every workload, traced and untraced, all checks"
-    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke
+    smoke=$(mktemp)
+    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke > "$smoke"
+    smoke_rc=$?
+    cat "$smoke"
+    if [ "$smoke_rc" -eq 0 ]; then
+        echo "==> [benchmark] allocation ceiling on the engine's replication path"
+        python3 - "$smoke" <<'PY'
+import json, sys
+# Only the traced engine_put_wal run counts allocations; the count is
+# exact and the same for every seed. 8.61 per put once entries were
+# encoded in place, moved into storage and applied by reference (32.3
+# before); one more copy of each entry on any replica adds at least 1.
+CEILING = 9.0
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.startswith("{")]
+counts = [l["metrics"]["engine.allocs_per_op"]["value"] for l in lines
+          if l["metrics"].get("engine.allocs_per_op", {}).get("value", 0) > 0]
+if len(counts) != 1:
+    sys.exit(f"alloc ceiling: expected one traced engine run, found {len(counts)}")
+if counts[0] > CEILING:
+    sys.exit(f"alloc ceiling: engine.allocs_per_op {counts[0]:.2f} is above {CEILING}"
+             " -- a per-entry copy is back on the replication path")
+print(f"alloc ceiling: engine.allocs_per_op {counts[0]:.2f} (ceiling {CEILING})")
+PY
+        smoke_rc=$?
+    fi
+    rm -f "$smoke"
+    return "$smoke_rc"
 }
 
 stage_perf_smoke() {
