@@ -3,22 +3,17 @@
 
 use crate::buggy::BuggyOmniReplica;
 use crate::monitor::{Breach, Monitor};
-use crate::schedule::{generate, generate_disk, Fault, ScheduledFault};
-use crate::trace::{fingerprint, TraceEvent};
+use crate::nemesis::{Nemesis, Servers};
+use crate::schedule::{generate, Fault, ScheduledFault, HEAL};
+use crate::trace::{fingerprint, ChaosReport, Counters, TraceEvent, Violation};
 use crate::NodeId;
 use cluster::protocol::{
     MpReplica, OmniReplica, ProtoMsg, ProtocolKind, RaftReplica, Replica, VrReplica,
 };
-use cluster::scenarios::{chained_line_cuts, constrained_stage2_cuts, quorum_loss_cuts};
 use cluster::Cmd;
 use omnipaxos::{MigrationScheme, SnapshotData, StorageFaultKind};
-use simulator::{Network, NetworkConfig};
 use std::collections::BTreeSet;
 
-/// Simulated microseconds per tick (timer granularity).
-const TICK_US: u64 = 1_000;
-/// Default one-way link latency, µs.
-const LATENCY_US: u64 = 100;
 /// Election timeout in ticks (BLE round / Raft election base; the failure
 /// detectors of Multi-Paxos and VR run at 4× this, as in the runner).
 const ELECTION_TICKS: u64 = 5;
@@ -78,33 +73,6 @@ impl ChaosConfig {
     }
 }
 
-/// A detected violation: the failing invariant plus evidence, stamped with
-/// the simulation tick.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    pub tick: u64,
-    pub invariant: String,
-    pub detail: String,
-}
-
-/// Everything one run produced: for passing runs a trace and statistics,
-/// for failing runs additionally the violation. Same config ⇒ bit-identical
-/// report (asserted by the determinism tests).
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    pub protocol: ProtocolKind,
-    pub seed: u64,
-    pub n: usize,
-    pub schedule: Vec<ScheduledFault>,
-    pub trace: Vec<TraceEvent>,
-    pub fingerprint: u64,
-    pub violation: Option<Violation>,
-    /// Distinct decided log positions observed cluster-wide.
-    pub decided_positions: u64,
-    /// Ticks from the forced heal until every server had every probe.
-    pub converged_in: Option<u64>,
-}
-
 /// One replica with chaos-specific side doors (compaction, forced
 /// same-membership reconfiguration) that the uniform trait keeps closed.
 enum ChaosNode {
@@ -133,37 +101,6 @@ impl ChaosNode {
             ChaosNode::Raft(r) => r,
             ChaosNode::Mp(r) => r,
             ChaosNode::Vr(r) => r,
-        }
-    }
-
-    /// Snapshot-compact at everything applied (Omni-Paxos only). The
-    /// snapshot payload is an opaque marker: the harness replicates plain
-    /// commands, so there is no state machine to serialize — what matters
-    /// is that the log prefix is gone and lagging peers must adopt the
-    /// snapshot instead of fetching entries.
-    fn compact(&mut self) -> Option<u64> {
-        match self {
-            ChaosNode::Omni(r) => {
-                let upto = r.server_ref().applied_cursor();
-                if upto <= r.server_ref().log_start() {
-                    return None;
-                }
-                let data: SnapshotData = std::sync::Arc::from(&b"chaos-snapshot"[..]);
-                r.server().provide_snapshot(upto, data).ok()?;
-                Some(upto)
-            }
-            _ => None,
-        }
-    }
-
-    /// Submit a same-membership reconfiguration (software-upgrade style,
-    /// §6.1). Bypasses the adapter's duplicate-membership guard, which
-    /// exists for the runner's retry loop, not for chaos injection.
-    fn start_reconfigure(&mut self, members: Vec<NodeId>) -> bool {
-        match self {
-            ChaosNode::Omni(r) => r.server().reconfigure(members).is_ok(),
-            ChaosNode::Raft(r) => r.reconfigure(members),
-            _ => false,
         }
     }
 }
@@ -216,17 +153,68 @@ fn build_nodes(cfg: &ChaosConfig) -> Vec<ChaosNode> {
         .collect()
 }
 
+impl Servers for [ChaosNode] {
+    fn leader(&self, crashed: &BTreeSet<NodeId>) -> Option<NodeId> {
+        self.iter()
+            .map(ChaosNode::replica)
+            .filter(|r| !crashed.contains(&r.pid()) && r.is_leader())
+            .max_by_key(|r| r.leader_rank())
+            .map(|r| r.pid())
+    }
+
+    fn reconnected(&mut self, pid: NodeId, peer: NodeId) {
+        self[(pid - 1) as usize].replica_mut().reconnected(peer);
+    }
+
+    fn recover(&mut self, pid: NodeId) {
+        self[(pid - 1) as usize].replica_mut().fail_recovery();
+    }
+
+    fn is_halted(&self, pid: NodeId) -> bool {
+        self[(pid - 1) as usize].replica().is_halted()
+    }
+
+    /// Snapshot-compact at everything applied (Omni-Paxos only). The
+    /// snapshot payload is an opaque marker: the harness replicates plain
+    /// commands, so there is no state machine to serialize — what matters
+    /// is that the log prefix is gone and lagging peers must adopt the
+    /// snapshot instead of fetching entries.
+    fn compact(&mut self, pid: NodeId) -> String {
+        let ChaosNode::Omni(r) = &mut self[(pid - 1) as usize] else {
+            return "(nothing to trim)".to_string();
+        };
+        let upto = r.server_ref().applied_cursor();
+        let data: SnapshotData = std::sync::Arc::from(&b"chaos-snapshot"[..]);
+        if upto > r.server_ref().log_start() && r.server().provide_snapshot(upto, data).is_ok() {
+            format!("upto={upto}")
+        } else {
+            "(nothing to trim)".to_string()
+        }
+    }
+
+    /// Submit a same-membership reconfiguration (software-upgrade style,
+    /// §6.1). Bypasses the adapter's duplicate-membership guard, which
+    /// exists for the runner's retry loop, not for chaos injection.
+    fn reconfigure(&mut self, pid: NodeId, members: Vec<NodeId>) -> bool {
+        match &mut self[(pid - 1) as usize] {
+            ChaosNode::Omni(r) => r.server().reconfigure(members).is_ok(),
+            ChaosNode::Raft(r) => r.reconfigure(members),
+            _ => false,
+        }
+    }
+
+    fn arm_disk(&mut self, pid: NodeId, kind: StorageFaultKind) -> Option<String> {
+        self[(pid - 1) as usize]
+            .replica_mut()
+            .inject_disk_fault(kind)
+            .then(String::new)
+    }
+}
+
 /// The live simulation state of one chaos run.
 struct Sim {
-    members: Vec<NodeId>,
     nodes: Vec<ChaosNode>,
-    net: Network<ProtoMsg>,
-    crashed: BTreeSet<NodeId>,
-    /// Cut pairs, normalized `(min, max)`; ordered so `HealAll` heals in a
-    /// deterministic order.
-    cut: BTreeSet<(NodeId, NodeId)>,
-    /// Remembered by `ConstrainedStage1` for stage 2: `(hub, old_leader)`.
-    constrained: Option<(NodeId, NodeId)>,
+    nemesis: Nemesis<ProtoMsg>,
     monitor: Monitor,
     trace: Vec<TraceEvent>,
     last_epoch: Vec<Option<(u64, NodeId)>>,
@@ -238,42 +226,22 @@ struct Sim {
 impl Sim {
     fn new(cfg: &ChaosConfig) -> Self {
         let members: Vec<NodeId> = (1..=cfg.n as NodeId).collect();
-        let net = Network::new(NetworkConfig {
-            nodes: members.clone(),
-            default_latency_us: LATENCY_US,
-            jitter_us: 0,
-            nic_bytes_per_sec: None,
-            priority_bytes: 256,
-            seed: cfg.seed,
-        });
         Sim {
             nodes: build_nodes(cfg),
-            net,
-            crashed: BTreeSet::new(),
-            cut: BTreeSet::new(),
-            constrained: None,
+            nemesis: Nemesis::new(members.clone(), members.clone(), cfg.seed),
             monitor: Monitor::new(cfg.n),
             trace: Vec::new(),
             last_epoch: vec![None; cfg.n],
             next_id: 0,
             proposed_count: 0,
             violation: None,
-            members,
         }
-    }
-
-    fn live(&self, pid: NodeId) -> bool {
-        !self.crashed.contains(&pid)
     }
 
     /// Index of the freshest live leadership claimant.
     fn leader_idx(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| self.live(n.replica().pid()) && n.replica().is_leader())
-            .max_by_key(|(_, n)| n.replica().leader_rank())
-            .map(|(i, _)| i)
+        let leader = self.nodes.leader(&self.nemesis.crashed)?;
+        Some((leader - 1) as usize)
     }
 
     fn breach_at(&mut self, tick: u64, b: Breach) {
@@ -288,198 +256,15 @@ impl Sim {
 
     /// Deliver everything due in the tick ending at `t`.
     fn deliver(&mut self, t: u64) {
-        let deadline = t * TICK_US;
-        while let Some(d) = self.net.pop_next_before(deadline) {
-            if self.live(d.dst) {
-                self.nodes[(d.dst - 1) as usize]
-                    .replica_mut()
-                    .handle(d.src, d.msg);
-            }
-        }
-        self.net.advance_to(deadline);
+        let nodes = &mut self.nodes;
+        self.nemesis.deliver(t, |src, dst, msg| {
+            nodes[(dst - 1) as usize].replica_mut().handle(src, msg)
+        });
     }
 
-    fn cut_link(&mut self, a: NodeId, b: NodeId) {
-        self.net.links_mut().set_link(a, b, false);
-        self.cut.insert((a.min(b), a.max(b)));
-    }
-
-    fn heal_link(&mut self, a: NodeId, b: NodeId) {
-        if self.net.links_mut().set_link(a, b, true) {
-            // Session-drop protocol: both ends resynchronize, provided
-            // they are up to notice.
-            if self.live(a) {
-                self.nodes[(a - 1) as usize].replica_mut().reconnected(b);
-            }
-            if self.live(b) {
-                self.nodes[(b - 1) as usize].replica_mut().reconnected(a);
-            }
-        }
-        self.cut.remove(&(a.min(b), a.max(b)));
-    }
-
-    fn crash(&mut self, pid: NodeId) -> bool {
-        if !self.crashed.insert(pid) {
-            return false;
-        }
-        self.net.drop_in_flight_for(pid);
-        true
-    }
-
-    /// Arm `kind` at `p`. Adapters without a fallible-storage model
-    /// report so and get crashed instead — externally the same fail-stop,
-    /// so every protocol sees an equivalent schedule shape.
-    fn disk_fault_at(&mut self, p: NodeId, kind: StorageFaultKind) -> String {
-        if !self.live(p) {
-            return format!("disk-fault {p} {kind:?} (down)");
-        }
-        if self.nodes[(p - 1) as usize]
-            .replica_mut()
-            .inject_disk_fault(kind)
-        {
-            format!("disk-fault {p} {kind:?}")
-        } else {
-            self.crash(p);
-            format!("disk-fault {p} {kind:?} (degraded to crash)")
-        }
-    }
-
-    /// Fire one fault, resolving leader-relative patterns, and record the
-    /// resolved form in the trace.
+    /// Fire one fault and record its resolved form in the trace.
     fn fire(&mut self, t: u64, fault: &Fault) {
-        let leader = self.leader_idx().map(|i| self.members[i]).unwrap_or(0);
-        // Partition patterns need a concrete pivot node even while no
-        // leader is elected; fall back to the lowest member then.
-        let pivot = if leader != 0 { leader } else { self.members[0] };
-        let first_non = |l: NodeId, members: &[NodeId]| {
-            members.iter().copied().find(|&p| p != l).expect("n >= 2")
-        };
-        let desc = match fault {
-            Fault::CutLink(a, b) => {
-                self.cut_link(*a, *b);
-                format!("cut {a}<->{b}")
-            }
-            Fault::HealLink(a, b) => {
-                self.heal_link(*a, *b);
-                format!("heal {a}<->{b}")
-            }
-            Fault::HealAll => {
-                let pairs: Vec<(NodeId, NodeId)> = self.cut.iter().copied().collect();
-                for (a, b) in &pairs {
-                    self.heal_link(*a, *b);
-                }
-                format!("heal-all ({} links)", pairs.len())
-            }
-            Fault::SessionDrop(a, b) => {
-                self.cut_link(*a, *b);
-                self.net.drop_in_flight_between(*a, *b);
-                format!("session-drop {a}<->{b}")
-            }
-            Fault::QuorumLoss => {
-                let hub = first_non(pivot, &self.members);
-                for (a, b) in quorum_loss_cuts(&self.members.clone(), hub) {
-                    self.cut_link(a, b);
-                }
-                format!("quorum-loss hub={hub} leader={pivot}")
-            }
-            Fault::ConstrainedStage1 => {
-                let hub = first_non(pivot, &self.members);
-                self.constrained = Some((hub, pivot));
-                self.cut_link(hub, pivot);
-                format!("constrained-1 hub={hub} leader={pivot}")
-            }
-            Fault::ConstrainedStage2 => {
-                let (hub, old) = self
-                    .constrained
-                    .unwrap_or_else(|| (first_non(pivot, &self.members), pivot));
-                for (a, b) in constrained_stage2_cuts(&self.members.clone(), hub, old) {
-                    self.cut_link(a, b);
-                }
-                format!("constrained-2 hub={hub} old-leader={old}")
-            }
-            Fault::ChainedLine => {
-                for (a, b) in chained_line_cuts(&self.members.clone()) {
-                    self.cut_link(a, b);
-                }
-                "chained-line".to_string()
-            }
-            Fault::Crash(p) => {
-                let did = self.crash(*p);
-                format!("crash {p}{}", if did { "" } else { " (already down)" })
-            }
-            Fault::CrashLeader => {
-                if leader != 0 {
-                    self.crash(leader);
-                    format!("crash-leader {leader}")
-                } else {
-                    "crash-leader (no leader)".to_string()
-                }
-            }
-            Fault::Recover(p) => {
-                if self.crashed.remove(p) {
-                    self.nodes[(*p - 1) as usize].replica_mut().fail_recovery();
-                    format!("recover {p}")
-                } else if self.nodes[(*p - 1) as usize].replica().is_halted() {
-                    // A disk-halted server never left the process table,
-                    // but recovers the same way: reopen storage (rolling
-                    // back the unsynced tail), re-sync via PrepareReq.
-                    self.nodes[(*p - 1) as usize].replica_mut().fail_recovery();
-                    format!("recover {p} (disk-halted)")
-                } else {
-                    format!("recover {p} (not down)")
-                }
-            }
-            Fault::RecoverAll => {
-                let down: Vec<NodeId> = self.crashed.iter().copied().collect();
-                for p in &down {
-                    self.crashed.remove(p);
-                    self.nodes[(*p - 1) as usize].replica_mut().fail_recovery();
-                }
-                let mut healed = down.len();
-                for i in 0..self.nodes.len() {
-                    if self.nodes[i].replica().is_halted() {
-                        self.nodes[i].replica_mut().fail_recovery();
-                        healed += 1;
-                    }
-                }
-                format!("recover-all ({healed} servers)")
-            }
-            Fault::DelaySpike(j) => {
-                self.net.set_jitter_us(*j);
-                format!("delay-spike jitter={j}us")
-            }
-            Fault::DelayCalm => {
-                self.net.set_jitter_us(0);
-                "delay-calm".to_string()
-            }
-            Fault::Compact(p) => {
-                if self.live(*p) {
-                    match self.nodes[(*p - 1) as usize].compact() {
-                        Some(upto) => format!("compact {p} upto={upto}"),
-                        None => format!("compact {p} (nothing to trim)"),
-                    }
-                } else {
-                    format!("compact {p} (down)")
-                }
-            }
-            Fault::Reconfigure => {
-                if leader != 0 {
-                    let members = self.members.clone();
-                    let ok = self.nodes[(leader - 1) as usize].start_reconfigure(members);
-                    format!("reconfigure via {leader} accepted={ok}")
-                } else {
-                    "reconfigure (no leader)".to_string()
-                }
-            }
-            Fault::DiskFault(p, kind) => self.disk_fault_at(*p, *kind),
-            Fault::DiskFaultLeader(kind) => {
-                if leader != 0 {
-                    self.disk_fault_at(leader, *kind)
-                } else {
-                    format!("disk-fault-leader {kind:?} (no leader)")
-                }
-            }
-        };
+        let desc = self.nemesis.fire(fault, self.nodes.as_mut_slice());
         self.trace.push(TraceEvent::Fault { tick: t, desc });
     }
 
@@ -503,15 +288,15 @@ impl Sim {
     /// Timers, outgoing traffic, decided drains and per-tick checks.
     fn step_rest(&mut self, t: u64) {
         for i in 0..self.nodes.len() {
-            let pid = self.members[i];
-            if self.live(pid) {
+            let pid = self.nemesis.members[i];
+            if self.nemesis.live(pid) {
                 self.nodes[i].replica_mut().tick();
             }
         }
         for i in 0..self.nodes.len() {
-            let from = self.members[i];
+            let from = self.nemesis.members[i];
             let out = self.nodes[i].replica_mut().outgoing();
-            if !self.live(from) {
+            if !self.nemesis.live(from) {
                 continue; // a down server sends nothing; backlog discarded
             }
             if self.nodes[i].replica().is_halted() {
@@ -535,15 +320,15 @@ impl Sim {
                 continue;
             }
             for (to, msg) in out {
-                if to >= 1 && to <= self.members.len() as NodeId {
+                if to >= 1 && to <= self.nemesis.members.len() as NodeId {
                     let bytes = msg.size_bytes();
-                    self.net.send(from, to, bytes, msg);
+                    self.nemesis.net.send(from, to, bytes, msg);
                 }
             }
         }
         for i in 0..self.nodes.len() {
-            let pid = self.members[i];
-            if !self.live(pid) {
+            let pid = self.nemesis.members[i];
+            if !self.nemesis.live(pid) {
                 continue;
             }
             let base = self.nodes[i].replica().decided_base();
@@ -584,33 +369,8 @@ impl Sim {
 
     /// Full retained-log cross-check of every live server.
     fn scan_all(&mut self, t: u64) {
-        if std::env::var_os("CHAOS_DEBUG").is_some() {
-            for (i, node) in self.nodes.iter().enumerate() {
-                if let ChaosNode::Omni(r) = node {
-                    let s = r.server_ref();
-                    eprintln!(
-                        "DBG @{t} pid={} live={} role={:?} cfg={} decided={} log_start={} applied={} leader={:?} is_leader={}",
-                        self.members[i],
-                        self.live(self.members[i]),
-                        s.role(),
-                        s.config_id(),
-                        s.decided_len(),
-                        s.log_start(),
-                        s.applied_cursor(),
-                        s.leader(),
-                        s.is_leader(),
-                    );
-                    if let Some((target, have, snap)) = s.migration_status() {
-                        eprintln!(
-                            "DBG @{t} pid={} migration target={target} have={have} snap_pending={snap}",
-                            self.members[i],
-                        );
-                    }
-                }
-            }
-        }
         for i in 0..self.nodes.len() {
-            if !self.live(self.members[i]) {
+            if !self.nemesis.live(self.nemesis.members[i]) {
                 continue;
             }
             if let Err(b) = self.monitor.scan_retained(self.nodes[i].replica()) {
@@ -623,11 +383,13 @@ impl Sim {
 
 /// Generate the schedule for `cfg` and run it.
 pub fn run(cfg: &ChaosConfig) -> ChaosReport {
-    let schedule = if cfg.disk_faults {
-        generate_disk(cfg.seed, cfg.n, cfg.fault_events, cfg.horizon_ticks)
-    } else {
-        generate(cfg.seed, cfg.n, cfg.fault_events, cfg.horizon_ticks)
-    };
+    let schedule = generate(
+        cfg.seed,
+        cfg.n,
+        cfg.fault_events,
+        cfg.horizon_ticks,
+        cfg.disk_faults,
+    );
     run_schedule(cfg, &schedule)
 }
 
@@ -665,9 +427,9 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
     let mut converged_in = None;
     if sim.violation.is_none() {
         let t0 = cfg.horizon_ticks;
-        sim.fire(t0, &Fault::DelayCalm);
-        sim.fire(t0, &Fault::RecoverAll);
-        sim.fire(t0, &Fault::HealAll);
+        for fault in HEAL {
+            sim.fire(t0, &fault);
+        }
         sim.trace.push(TraceEvent::Phase {
             tick: t0,
             desc: "forced heal; liveness probes".to_string(),
@@ -683,10 +445,8 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
                 if let Some(li) = sim.leader_idx() {
                     let mut submitted = false;
                     for &id in &probes {
-                        let everyone = sim
-                            .members
-                            .iter()
-                            .all(|&p| sim.monitor.has_delivered(p, id));
+                        let everyone =
+                            (sim.nemesis.members.iter()).all(|&p| sim.monitor.has_delivered(p, id));
                         if !everyone && sim.nodes[li].replica_mut().propose(Cmd::noop(id)) {
                             sim.monitor.on_proposed(id);
                             submitted = true;
@@ -706,20 +466,15 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
             // contract says faults stop at the forced heal, so a server
             // that halts during the probe phase is restarted immediately
             // (its unsynced tail rolls back; it re-syncs via PrepareReq).
-            for i in 0..sim.nodes.len() {
-                if sim.nodes[i].replica().is_halted() {
-                    sim.nodes[i].replica_mut().fail_recovery();
-                    sim.trace.push(TraceEvent::Fault {
-                        tick: t,
-                        desc: format!(
-                            "restart {} (disk fault fired after the heal)",
-                            sim.members[i]
-                        ),
-                    });
-                }
+            for p in sim.nemesis.restart_halted(sim.nodes.as_mut_slice()) {
+                sim.trace.push(TraceEvent::Fault {
+                    tick: t,
+                    desc: format!("restart {p} (disk fault fired after the heal)"),
+                });
             }
             let done = probes.iter().all(|&id| {
-                sim.members
+                sim.nemesis
+                    .members
                     .iter()
                     .all(|&p| sim.monitor.has_delivered(p, id))
             });
@@ -752,16 +507,18 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
         sim.scan_all(cfg.horizon_ticks + cfg.liveness_ticks);
     }
 
-    let fp = fingerprint(&sim.trace);
+    let mut stats = Counters::default();
+    stats.add("decided_positions", sim.monitor.decided_positions());
+    if let Some(ticks) = converged_in {
+        stats.add("converge_ticks", ticks);
+    }
     ChaosReport {
-        protocol: cfg.protocol,
+        header: format!("protocol: {}\nnodes: {}\n", cfg.protocol.name(), cfg.n),
         seed: cfg.seed,
-        n: cfg.n,
         schedule: schedule.to_vec(),
+        fingerprint: fingerprint(&sim.trace),
         trace: sim.trace,
-        fingerprint: fp,
         violation: sim.violation,
-        decided_positions: sim.monitor.decided_positions(),
-        converged_in,
+        stats,
     }
 }

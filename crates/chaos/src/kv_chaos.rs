@@ -1,248 +1,103 @@
-//! Chaos over the replicated key-value store: session dedup under faults.
+//! Session dedup under faults, on one group or many.
 //!
-//! The cluster-level harness checks log safety; this module checks the
+//! The protocol harness checks log safety; this workload checks the
 //! *application* contract on top of it. Clients submit windowed bursts of
 //! commands with per-client sequence numbers — many seqs outstanding at
 //! once, like a pipelined socket client — and deliberately retry seqs
 //! anywhere in the window, including ones older than later seqs already
-//! applied. Exactly once per `(client, seq)` must take effect, across
-//! link cuts, crash + recovery, and snapshot compaction (the session
-//! table is part of the snapshot; a snapshot that forgot it would
-//! re-apply retries after a transfer, which is the bug this run would
-//! catch).
+//! applied. Exactly once per `(shard, client, seq)` must take effect,
+//! across link cuts, crash + recovery, and snapshot compaction (the
+//! session table is part of the snapshot; a snapshot that forgot it
+//! would re-apply retries after a transfer).
+//!
+//! With one shard this is the `--kv-seeds` workload. With four shards and
+//! a standby joiner it is `--shard-seeds`: every shard rides the same
+//! links and crashes, compaction is per shard, and the driver moves one
+//! shard onto the joiner mid-traffic on even seeds. The driver checks
+//! verdict stability, per-shard convergence and leader agreement, the
+//! session tables against what clients issued, and a post-heal probe
+//! write per shard.
 
-use kvstore::{KvCommand, KvNode, KvOp, NodeId};
-use omnipaxos::service::ServiceMsg;
-use simulator::{Network, NetworkConfig, Rng};
-use std::collections::{HashMap, HashSet};
+use crate::driver::{keys_of, Cluster, Shape, Workload};
+use kvstore::{KvCommand, KvOp};
+use std::collections::BTreeMap;
 
-const TICK_US: u64 = 1_000;
-const N: usize = 3;
+/// Keys per shard: few, so retries and fresh writes contend.
+const KEYS: usize = 4;
+/// A client's retry window.
+const WINDOW: usize = 16;
 
-/// Statistics of a passing key-value chaos run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KvChaosStats {
-    pub submitted: u64,
-    pub duplicates: u64,
-    pub applied: u64,
-    pub converge_ticks: u64,
+/// Windowed session clients 1 and 2 over `shards` groups.
+pub struct Sessions {
+    shards: usize,
+    keys: Vec<Vec<String>>,
+    /// Recent commands per `(client, shard)`: retries resend any of them.
+    recent: BTreeMap<(u64, u32), Vec<KvCommand>>,
 }
 
-/// Run one seeded kv chaos schedule; `Err` describes the violated
-/// invariant.
-pub fn run_kv_chaos(seed: u64) -> Result<KvChaosStats, String> {
-    let members: Vec<NodeId> = (1..=N as NodeId).collect();
-    let mut nodes: Vec<KvNode> = members
-        .iter()
-        .map(|&p| KvNode::new(p, members.clone()))
-        .collect();
-    let mut net: Network<ServiceMsg<KvCommand>> = Network::new(NetworkConfig {
-        nodes: members.clone(),
-        default_latency_us: 100,
-        jitter_us: 0,
-        nic_bytes_per_sec: None,
-        priority_bytes: 256,
-        seed,
-    });
-    let mut rng = Rng::seed_from_u64(seed ^ 0x5E55_10D5);
-    let mut crashed: HashSet<NodeId> = HashSet::new();
-    let mut cut: Vec<(NodeId, NodeId)> = Vec::new();
-    // Per-client next sequence number, and a sliding window of recent
-    // commands per client: retries resend a random command still in the
-    // window — including seqs *older* than ones already applied, which is
-    // exactly the hazard a pipelined (windowed-seq) client creates when
-    // it retransmits its whole outstanding window after a reconnect.
-    let mut next_seq: HashMap<u64, u64> = HashMap::new();
-    let mut recent: HashMap<u64, Vec<KvCommand>> = HashMap::new();
-    // Per node: the verdict value reported for each applied (client, seq).
-    // The session table replays the cached verdict verbatim when the
-    // latest seq is retransmitted, so a duplicate *report* is legal — but
-    // the verdict must be identical every time (a changed value would
-    // mean the op re-executed instead of replaying).
-    let mut applied_seen: Vec<HashMap<(u64, u64), Option<i64>>> = vec![HashMap::new(); N];
-    let mut stats = KvChaosStats {
-        submitted: 0,
-        duplicates: 0,
-        applied: 0,
-        converge_ticks: 0,
-    };
+impl Sessions {
+    pub fn new(shards: usize) -> Self {
+        let keys = (0..shards as u32)
+            .map(|s| keys_of("k", s, shards).take(KEYS).collect())
+            .collect();
+        Sessions {
+            shards,
+            keys,
+            recent: BTreeMap::new(),
+        }
+    }
+}
 
-    let step = |t: u64,
-                nodes: &mut Vec<KvNode>,
-                net: &mut Network<ServiceMsg<KvCommand>>,
-                crashed: &HashSet<NodeId>,
-                applied_seen: &mut Vec<HashMap<(u64, u64), Option<i64>>>,
-                stats: &mut KvChaosStats|
-     -> Result<(), String> {
-        let deadline = t * TICK_US;
-        while let Some(d) = net.pop_next_before(deadline) {
-            if !crashed.contains(&d.dst) {
-                nodes[(d.dst - 1) as usize].handle(d.src, d.msg);
-            }
+impl Workload for Sessions {
+    fn shape(&self) -> Shape {
+        Shape {
+            shards: self.shards,
+            compact: true,
+            disk: false,
         }
-        net.advance_to(deadline);
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let pid = (i + 1) as NodeId;
-            let out = node.outgoing();
-            if crashed.contains(&pid) {
-                continue;
-            }
-            node.tick();
-            for (to, msg) in out {
-                let bytes = msg.size_bytes();
-                net.send(pid, to, bytes, msg);
-            }
-            for r in node.take_results() {
-                if r.applied {
-                    if let Some(prev) = applied_seen[i].get(&(r.client, r.seq)) {
-                        if *prev != r.value {
-                            return Err(format!(
-                                "verdict instability: node {pid} reported ({}, {}) \
-                                 applied with {:?}, then {:?}",
-                                r.client, r.seq, prev, r.value
-                            ));
-                        }
-                    } else {
-                        applied_seen[i].insert((r.client, r.seq), r.value);
-                        stats.applied += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-
-    // Fault + workload phase.
-    for t in 1..=1_500u64 {
-        // Faults, low-rate.
-        if rng.chance(0.01) {
-            let a = rng.range_inclusive(1, N as u64);
-            let b = 1 + (a % N as u64);
-            match rng.below(4) {
-                0 => {
-                    net.links_mut().set_link(a, b, false);
-                    cut.push((a, b));
-                }
-                1 => {
-                    if let Some((x, y)) = cut.pop() {
-                        if net.links_mut().set_link(x, y, true) {
-                            nodes[(x - 1) as usize].server().reconnected(y);
-                            nodes[(y - 1) as usize].server().reconnected(x);
-                        }
-                    }
-                }
-                2 => {
-                    if crashed.insert(a) {
-                        net.drop_in_flight_for(a);
-                    }
-                }
-                _ => {
-                    if crashed.remove(&a) {
-                        nodes[(a - 1) as usize].server().fail_recovery();
-                    } else if !crashed.contains(&a) {
-                        let _ = nodes[(a - 1) as usize].compact();
-                    }
-                }
-            }
-        }
-        // Workload: windowed bursts of fresh commands, with deliberate
-        // retries of commands anywhere in the recent window (a pipelined
-        // client resends its whole outstanding window, oldest first).
-        if t % 5 == 0 {
-            let client = rng.range_inclusive(1, 2);
-            let leader =
-                (0..N).find(|&i| !crashed.contains(&((i + 1) as NodeId)) && nodes[i].is_leader());
-            if let Some(li) = leader {
-                let window = recent.entry(client).or_default();
-                if rng.chance(0.3) && !window.is_empty() {
-                    // Retry: a random in-window seq — often one older
-                    // than later seqs already applied. Dedup must still
-                    // apply each (client, seq) exactly once.
-                    let idx = rng.below(window.len() as u64) as usize;
-                    stats.duplicates += 1;
-                    if nodes[li].submit(window[idx].clone()).is_ok() {
-                        stats.submitted += 1;
-                    }
-                } else {
-                    // Fresh burst: several new seqs back to back, in seq
-                    // order — the open-loop window filling up.
-                    let burst = rng.range_inclusive(1, 4);
-                    for _ in 0..burst {
-                        let seq = next_seq.entry(client).or_insert(1);
-                        let s = *seq;
-                        *seq += 1;
-                        let c = KvCommand {
-                            client,
-                            seq: s,
-                            op: KvOp::Add {
-                                key: format!("k{}", rng.below(4)),
-                                delta: rng.range_inclusive(1, 9) as i64,
-                            },
-                        };
-                        window.push(c.clone());
-                        if window.len() > 16 {
-                            window.remove(0);
-                        }
-                        if nodes[li].submit(c).is_ok() {
-                            stats.submitted += 1;
-                        }
-                    }
-                }
-            }
-        }
-        step(
-            t,
-            &mut nodes,
-            &mut net,
-            &crashed,
-            &mut applied_seen,
-            &mut stats,
-        )?;
     }
 
-    // Heal, recover, and require convergence: same map, same sessions.
-    for (x, y) in cut.drain(..) {
-        if net.links_mut().set_link(x, y, true) {
-            nodes[(x - 1) as usize].server().reconnected(y);
-            nodes[(y - 1) as usize].server().reconnected(x);
+    fn traffic(&mut self, t: u64, cx: &mut Cluster) {
+        if !t.is_multiple_of(5) {
+            return;
         }
-    }
-    let down: Vec<NodeId> = crashed.drain().collect();
-    for p in down {
-        nodes[(p - 1) as usize].server().fail_recovery();
-    }
-    for t in 1_501..=6_000u64 {
-        step(
-            t,
-            &mut nodes,
-            &mut net,
-            &crashed,
-            &mut applied_seen,
-            &mut stats,
-        )?;
-        if t % 16 == 0 {
-            let sm0 = nodes[0].state_machine();
-            if nodes[1..].iter().all(|n| n.state_machine() == sm0) {
-                stats.converge_ticks = t - 1_500;
-                // Sessions must never exceed what clients actually issued.
-                for (client, entry) in sm0.sessions() {
-                    let issued = next_seq.get(client).map(|s| s - 1).unwrap_or(0);
-                    if entry.seq > issued {
-                        return Err(format!(
-                            "session table ahead of reality: client {client} at seq \
-                             {}, only {issued} issued",
-                            entry.seq
-                        ));
+        let client = cx.rng.range_inclusive(1, 2);
+        let shard = cx.rng.below(self.shards as u64) as u32;
+        let Some(li) = cx.leader(shard) else {
+            return;
+        };
+        let window = self.recent.entry((client, shard)).or_default();
+        let cmds = if cx.rng.chance(0.3) && !window.is_empty() {
+            // Retry: a random in-window seq — often one older than later
+            // seqs already applied. Dedup must still apply it once.
+            cx.stats.add("retries", 1);
+            vec![window[cx.rng.below(window.len() as u64) as usize].clone()]
+        } else {
+            // Fresh burst: several new seqs back to back, in seq order —
+            // the open-loop window filling up.
+            let keys = &self.keys[shard as usize];
+            (0..cx.rng.range_inclusive(1, 4))
+                .map(|_| {
+                    let c = KvCommand {
+                        client,
+                        seq: cx.issue(shard, client),
+                        op: KvOp::Add {
+                            key: keys[cx.rng.below(keys.len() as u64) as usize].clone(),
+                            delta: cx.rng.range_inclusive(1, 9) as i64,
+                        },
+                    };
+                    window.push(c.clone());
+                    if window.len() > WINDOW {
+                        window.remove(0);
                     }
-                }
-                return Ok(stats);
+                    c
+                })
+                .collect()
+        };
+        for c in cmds {
+            if cx.nodes[li].submit_batch(shard, [c]).is_ok() {
+                cx.stats.add("submitted", 1);
             }
         }
     }
-    Err(format!(
-        "kv replicas did not converge after heal: states {:?} / {:?} / {:?} keys",
-        nodes[0].state().len(),
-        nodes[1].state().len(),
-        nodes[2].state().len()
-    ))
 }

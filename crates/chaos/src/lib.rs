@@ -1,76 +1,49 @@
-//! # chaos — deterministic fault-injection harness
+//! # chaos — deterministic fault injection
 //!
-//! Drives randomized fault schedules over the deterministic simulator and
-//! checks the paper's safety properties (§4) after every step, across
-//! Omni-Paxos and every baseline of the §7.2 comparison (Raft, Raft
-//! PV+CQ, Multi-Paxos, VR).
+//! Two drivers run seeded fault schedules over the deterministic simulator
+//! and check the paper's claim: safety always, progress once connectivity
+//! returns (§4, §5).
 //!
-//! The fault model covers what the paper's analysis (§2–§3) identifies as
-//! the hard cases:
+//! * The **protocol harness** ([`harness`]) runs Omni-Paxos and every
+//!   baseline of the §7.2 comparison (Raft, Raft PV+CQ, Multi-Paxos, VR).
+//!   After every tick the [`monitor`] checks prefix agreement (SC2),
+//!   durability across crash + recovery, validity (SC1), one leader per
+//!   epoch and the LE3 election audit; after a forced heal, fresh probe
+//!   commands must decide at every server within a bound.
+//! * The **kv driver** ([`driver`]) runs the key-value store's workloads
+//!   ([`KV_WORKLOADS`]): session dedup on one group and on four shards
+//!   with a mid-traffic shard move ([`kv_chaos`]), the three read modes
+//!   under clock skew ([`read_chaos`]), and cross-shard 2PC bank transfers
+//!   ([`txn_chaos`]).
 //!
-//! * **partial partitions** — arbitrary link cuts plus the three named
-//!   patterns (quorum-loss, constrained election, chained), resolved
-//!   against the live leader at injection time via the shared cut-set
-//!   functions in [`cluster::scenarios`];
-//! * **session drops** — a link cut that also loses the bytes on the
-//!   wire, exercising the session-reset protocol (§4.1.3);
-//! * **crash + recover** — fail-recovery (§3) through each protocol's
-//!   persistent state, with in-flight messages to the crashed server
-//!   vanishing;
-//! * **disk faults** — seeded storage failpoints (failed fsync, short
-//!   write, ENOSPC, detected corruption, crash mid-checkpoint) armed at
-//!   arbitrary servers or the live leader; a server whose disk fails must
-//!   fail-stop (ack nothing, emit nothing) until recovered, and no entry
-//!   it acknowledged before the fault may be lost;
-//! * **delay spikes** — raised delivery jitter, reordering messages
-//!   across links while per-link FIFO stays intact;
-//! * **mid-run compaction and reconfiguration** — snapshot-based log
-//!   trimming and same-membership configuration changes while faults are
-//!   active.
-//!
-//! After every simulation tick the [`monitor::Monitor`] checks:
-//!
-//! * **prefix agreement** — any two servers' decided entries agree at
-//!   every position both know (SC2), across both the entries delivered to
-//!   the application and the log each server retains;
-//! * **durability** — no server's decided log ever shrinks, and its
-//!   delivery cursor never moves backwards, across crash + recovery;
-//! * **validity** — decided entries were actually proposed (SC1);
-//! * **leader-epoch uniqueness** — at most one server claims leadership
-//!   per epoch (term for Raft, view for VR, full ballot for the Paxos
-//!   family, where ballots themselves carry the owner);
-//! * **election audit (LE3)** — ballots elected by a server's BLE
-//!   strictly increase.
-//!
-//! After the schedule ends every fault is healed and a bounded-recovery
-//! **liveness** probe runs: freshly proposed commands must decide at every
-//! server within a generous bound, or the run fails.
-//!
-//! A failing run reports its seed, a replayable event trace with a
-//! fingerprint (same seed ⇒ bit-identical trace), and — via
-//! [`minimize::minimize`] — a greedily reduced fault schedule that still
-//! reproduces the failure.
+//! Both fire one fault vocabulary ([`Fault`]) through one nemesis — the
+//! network, the crashed and cut sets, and the code that fires a fault:
+//! link cuts and session drops, the paper's named partitions
+//! (quorum-loss, constrained election, chained), crash and recovery,
+//! disk failpoints (a server whose disk fails must fail-stop), delay
+//! spikes, compaction and reconfiguration. A run's faults are
+//! generated up front from its seed ([`schedule`]), so every run replays
+//! bit-identically — its trace fingerprint ([`trace`]) is its identity —
+//! and a failing run shrinks to a 1-minimal schedule ([`minimize()`]).
 
 pub mod buggy;
+pub mod driver;
 pub mod harness;
 pub mod kv_chaos;
 pub mod minimize;
 pub mod monitor;
+mod nemesis;
 pub mod read_chaos;
 pub mod schedule;
-pub mod shard_chaos;
 pub mod trace;
 pub mod txn_chaos;
 
 pub use buggy::BuggyOmniReplica;
-pub use harness::{run, run_schedule, Bug, ChaosConfig, ChaosReport, Violation};
-pub use kv_chaos::{run_kv_chaos, KvChaosStats};
+pub use driver::{KvWorkload, Workload, KV_WORKLOADS};
+pub use harness::{run, run_schedule, Bug, ChaosConfig};
 pub use minimize::minimize;
-pub use read_chaos::{run_read_chaos, ReadChaosStats};
-pub use schedule::{generate, generate_disk, Fault, ScheduledFault};
-pub use shard_chaos::{run_shard_chaos, ShardChaosStats};
-pub use trace::{fingerprint, render_report, TraceEvent};
-pub use txn_chaos::{run_txn_chaos, TxnChaosStats};
+pub use schedule::{generate, generate_kv, Fault, ScheduledFault};
+pub use trace::{fingerprint, render_report, ChaosReport, Counters, TraceEvent, Violation};
 
 /// Server identifier, shared with the rest of the workspace.
 pub type NodeId = cluster::NodeId;

@@ -9,30 +9,49 @@
 //! chaos --disk --seeds 500          # sweep with the disk-fault profile
 //! chaos --disk-seeds 50             # extra disk-fault sweep after the main one
 //! chaos --txn-seeds 300             # cross-shard 2PC sweep (nightly depth)
+//! chaos --txn-seeds 1 --base-seed 42 --minimize  # replay + shrink one kv seed
 //! ```
 //!
 //! Exit status is 0 iff no run violated an invariant.
 
-use chaos::{
-    minimize, render_report, run, run_kv_chaos, run_read_chaos, run_shard_chaos, run_txn_chaos,
-    Bug, ChaosConfig,
-};
+use chaos::{minimize, render_report, run, run_schedule, Bug, ChaosConfig, ChaosReport};
+use chaos::{Counters, ScheduledFault, KV_WORKLOADS};
 use cluster::ProtocolKind;
-use kvstore::ReadMode;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-const ALL_PROTOCOLS: [ProtocolKind; 5] = [
-    ProtocolKind::OmniPaxos,
-    ProtocolKind::Raft,
-    ProtocolKind::RaftPvCq,
-    ProtocolKind::MultiPaxos,
-    ProtocolKind::Vr,
+/// `--protocol` names (the first is the trace-file tag); all but the last
+/// are swept by default.
+const PROTOCOLS: [(&[&str], ProtocolKind); 6] = [
+    (
+        &["omni", "omnipaxos", "omni-paxos"],
+        ProtocolKind::OmniPaxos,
+    ),
+    (&["raft"], ProtocolKind::Raft),
+    (&["raft-pvcq", "raftpvcq"], ProtocolKind::RaftPvCq),
+    (
+        &["multipaxos", "multi-paxos", "mp"],
+        ProtocolKind::MultiPaxos,
+    ),
+    (&["vr"], ProtocolKind::Vr),
+    (&["omni-lm"], ProtocolKind::OmniPaxosLeaderMigration),
+];
+
+/// The seed-count flags and their `--quick` sizes: the CI gate, a small
+/// sweep across every protocol and kv workload.
+const SEED_FLAGS: [(&str, u64); 6] = [
+    ("--seeds", 20),
+    ("--disk-seeds", 10),
+    ("--kv-seeds", 4),
+    ("--read-seeds", 4),
+    ("--shard-seeds", 4),
+    ("--txn-seeds", 4),
 ];
 
 struct Opts {
-    quick: bool,
-    seeds: u64,
+    /// Seeds per sweep, by flag (see [`SEED_FLAGS`]).
+    seeds: BTreeMap<&'static str, u64>,
     base_seed: u64,
     single_seed: Option<u64>,
     protocol: Option<ProtocolKind>,
@@ -40,20 +59,9 @@ struct Opts {
     minimize: bool,
     out: Option<PathBuf>,
     bug: bool,
-    kv_seeds: u64,
-    shard_seeds: u64,
-    /// Cross-shard transaction sweep: bank transfers over 2PC under
-    /// partitions, crashes, disk faults, and a mid-traffic shard move.
-    txn_seeds: u64,
-    /// Read-mode staleness sweep: each seed runs once per read mode
-    /// (log, lease, read-index) under clock skew + partitions.
-    read_seeds: u64,
     /// Run the primary sweep (and any `--seed` replay) under the
     /// disk-fault schedule profile.
     disk: bool,
-    /// Additional disk-fault-profile sweep of this many seeds per
-    /// protocol, after the primary sweep.
-    disk_seeds: u64,
 }
 
 fn usage() -> ! {
@@ -66,25 +74,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_protocol(s: &str) -> ProtocolKind {
-    match s {
-        "omni" | "omnipaxos" | "omni-paxos" => ProtocolKind::OmniPaxos,
-        "omni-lm" => ProtocolKind::OmniPaxosLeaderMigration,
-        "raft" => ProtocolKind::Raft,
-        "raft-pvcq" | "raftpvcq" => ProtocolKind::RaftPvCq,
-        "multipaxos" | "multi-paxos" | "mp" => ProtocolKind::MultiPaxos,
-        "vr" => ProtocolKind::Vr,
-        other => {
-            eprintln!("unknown protocol: {other}");
-            usage();
-        }
-    }
-}
-
 fn parse_opts() -> Opts {
     let mut opts = Opts {
-        quick: false,
-        seeds: 0,
+        seeds: BTreeMap::new(),
         base_seed: 1,
         single_seed: None,
         protocol: None,
@@ -92,13 +84,9 @@ fn parse_opts() -> Opts {
         minimize: false,
         out: None,
         bug: false,
-        kv_seeds: 0,
-        shard_seeds: 0,
-        txn_seeds: 0,
-        read_seeds: 0,
         disk: false,
-        disk_seeds: 0,
     };
+    let mut quick = false;
     let mut args = std::env::args().skip(1);
     let next_num = |args: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
         args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -108,83 +96,60 @@ fn parse_opts() -> Opts {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--seeds" => opts.seeds = next_num(&mut args, "--seeds"),
+            "--quick" => quick = true,
             "--base-seed" => opts.base_seed = next_num(&mut args, "--base-seed"),
             "--seed" => opts.single_seed = Some(next_num(&mut args, "--seed")),
             "--protocol" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                opts.protocol = Some(parse_protocol(&v));
+                let Some((_, p)) = PROTOCOLS.iter().find(|(names, _)| names.contains(&&*v)) else {
+                    eprintln!("unknown protocol: {v}");
+                    usage();
+                };
+                opts.protocol = Some(*p);
             }
             "--nodes" => opts.nodes = next_num(&mut args, "--nodes") as usize,
             "--minimize" => opts.minimize = true,
             "--out" => opts.out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--bug" => opts.bug = true,
-            "--kv-seeds" => opts.kv_seeds = next_num(&mut args, "--kv-seeds"),
-            "--shard-seeds" => opts.shard_seeds = next_num(&mut args, "--shard-seeds"),
-            "--txn-seeds" => opts.txn_seeds = next_num(&mut args, "--txn-seeds"),
-            "--read-seeds" => opts.read_seeds = next_num(&mut args, "--read-seeds"),
             "--disk" => opts.disk = true,
-            "--disk-seeds" => opts.disk_seeds = next_num(&mut args, "--disk-seeds"),
             "--help" | "-h" => usage(),
             other => {
-                eprintln!("unknown flag: {other}");
-                usage();
+                let Some(&(flag, _)) = SEED_FLAGS.iter().find(|(f, _)| *f == other) else {
+                    eprintln!("unknown flag: {other}");
+                    usage();
+                };
+                opts.seeds.insert(flag, next_num(&mut args, flag));
             }
         }
     }
-    if opts.quick {
-        // The CI gate: a small sweep across every protocol plus a few
-        // kv-store session runs, sized to finish well under a minute.
-        if opts.seeds == 0 {
-            opts.seeds = 20;
-        }
-        if opts.kv_seeds == 0 {
-            opts.kv_seeds = 4;
-        }
-        if opts.shard_seeds == 0 {
-            opts.shard_seeds = 4;
-        }
-        if opts.txn_seeds == 0 {
-            opts.txn_seeds = 4;
-        }
-        if opts.read_seeds == 0 {
-            opts.read_seeds = 4;
-        }
-        if opts.disk_seeds == 0 {
-            opts.disk_seeds = 10;
+    for (flag, n) in SEED_FLAGS {
+        let seeds = opts.seeds.entry(flag).or_default();
+        if quick && *seeds == 0 {
+            *seeds = n;
         }
     }
-    if opts.seeds == 0
-        && opts.single_seed.is_none()
-        && opts.kv_seeds == 0
-        && opts.shard_seeds == 0
-        && opts.txn_seeds == 0
-        && opts.read_seeds == 0
-        && opts.disk_seeds == 0
-    {
-        opts.seeds = 100;
+    if opts.single_seed.is_none() && opts.seeds.values().all(|&n| n == 0) {
+        opts.seeds.insert("--seeds", 100);
     }
     opts
 }
 
-fn slug(p: ProtocolKind) -> &'static str {
-    match p {
-        ProtocolKind::OmniPaxos => "omni",
-        ProtocolKind::OmniPaxosLeaderMigration => "omni-lm",
-        ProtocolKind::Raft => "raft",
-        ProtocolKind::RaftPvCq => "raft-pvcq",
-        ProtocolKind::MultiPaxos => "multipaxos",
-        ProtocolKind::Vr => "vr",
-    }
+/// One sweep: a protocol under a fault profile, or a kv workload.
+struct Sweep<'a> {
+    label: String,
+    /// Tag of its failing seeds' trace files.
+    slug: String,
+    /// The statistics its summary shows.
+    headline: &'static [&'static str],
+    seeds: Vec<u64>,
+    run: Runner<'a>,
 }
+
+/// Runs a seed under its generated schedule, or replays a schedule.
+type Runner<'a> = Box<dyn Fn(u64, Option<&[ScheduledFault]>) -> ChaosReport + 'a>;
 
 fn main() {
     let opts = parse_opts();
-    let protocols: Vec<ProtocolKind> = match opts.protocol {
-        Some(p) => vec![p],
-        None => ALL_PROTOCOLS.to_vec(),
-    };
     if let Some(dir) = &opts.out {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out dir {}: {e}", dir.display());
@@ -192,258 +157,97 @@ fn main() {
         }
     }
 
+    let range = |flag: &str| {
+        let n = opts.seeds[flag];
+        (opts.base_seed..opts.base_seed + n).collect::<Vec<u64>>()
+    };
+    let primary = (opts.single_seed).map_or_else(|| range("--seeds"), |s| vec![s]);
+    let mut sweeps: Vec<Sweep> = Vec::new();
+    for (disk, seeds) in [(opts.disk, primary), (true, range("--disk-seeds"))] {
+        let all = PROTOCOLS[..5].iter().map(|&(_, p)| p).collect();
+        for protocol in opts.protocol.map_or(all, |p| vec![p]) {
+            let mut cfg = ChaosConfig::new(protocol, 0);
+            cfg.n = opts.nodes;
+            cfg.disk_faults = disk;
+            if opts.bug {
+                cfg.bug = Some(Bug::AckBeforePersist);
+            }
+            let names = PROTOCOLS
+                .iter()
+                .find(|&&(_, p)| p == protocol)
+                .expect("listed")
+                .0;
+            sweeps.push(Sweep {
+                label: format!("{}{}", protocol.name(), if disk { " [disk]" } else { "" }),
+                slug: format!("{}{}", if disk { "disk-" } else { "" }, names[0]),
+                headline: &["decided_positions"],
+                seeds: seeds.clone(),
+                run: Box::new(move |seed, schedule| {
+                    let cfg = ChaosConfig {
+                        seed,
+                        ..cfg.clone()
+                    };
+                    schedule.map_or_else(|| run(&cfg), |s| run_schedule(&cfg, s))
+                }),
+            });
+        }
+    }
+    for w in KV_WORKLOADS {
+        sweeps.push(Sweep {
+            label: w.name.to_string(),
+            slug: w.slug.to_string(),
+            headline: w.headline,
+            seeds: range(w.flag),
+            run: Box::new(move |seed, schedule| {
+                schedule.map_or_else(|| w.run(seed), |s| w.run_schedule(seed, s))
+            }),
+        });
+    }
+
     let started = Instant::now();
     let mut failures = 0u64;
     let mut total_runs = 0u64;
-
-    let sweep = |protocols: &[ProtocolKind],
-                 seeds: &[u64],
-                 disk: bool,
-                 failures: &mut u64,
-                 total_runs: &mut u64| {
-        for &protocol in protocols {
-            let t0 = Instant::now();
-            let mut proto_failures = 0u64;
-            let mut decided_total = 0u64;
-            for seed in seeds.iter().copied() {
-                let mut cfg = ChaosConfig::new(protocol, seed);
-                cfg.n = opts.nodes;
-                cfg.disk_faults = disk;
-                if opts.bug {
-                    cfg.bug = Some(Bug::AckBeforePersist);
-                }
-                let report = run(&cfg);
-                *total_runs += 1;
-                decided_total += report.decided_positions;
-                if report.violation.is_some() {
-                    *failures += 1;
-                    proto_failures += 1;
-                    let mut rendered = render_report(&report);
-                    if opts.minimize {
-                        let reduced = minimize(&cfg, &report.schedule);
-                        let replay = chaos::run_schedule(&cfg, &reduced);
-                        rendered.push_str("\n--- minimized schedule ---\n");
-                        rendered.push_str(&render_report(&replay));
-                    }
-                    eprintln!("{rendered}");
-                    if let Some(dir) = &opts.out {
-                        let disk_tag = if disk { "disk-" } else { "" };
-                        let path = dir.join(format!("{disk_tag}{}-seed{seed}.txt", slug(protocol)));
-                        if let Err(e) = std::fs::write(&path, &rendered) {
-                            eprintln!("cannot write {}: {e}", path.display());
-                        } else {
-                            eprintln!("trace written to {}", path.display());
-                        }
-                    }
-                }
-            }
-            println!(
-                "{:<34} {:>5} runs  {:>3} failed  {:>8} decided positions  {:>6.1}s",
-                format!("{}{}", protocol.name(), if disk { " [disk]" } else { "" }),
-                seeds.len(),
-                proto_failures,
-                decided_total,
-                t0.elapsed().as_secs_f64()
-            );
-        }
-    };
-
-    if opts.seeds > 0 || opts.single_seed.is_some() {
-        let seeds: Vec<u64> = match opts.single_seed {
-            Some(s) => vec![s],
-            None => (opts.base_seed..opts.base_seed + opts.seeds).collect(),
-        };
-        sweep(
-            &protocols,
-            &seeds,
-            opts.disk,
-            &mut failures,
-            &mut total_runs,
-        );
-    }
-
-    if opts.disk_seeds > 0 {
-        let seeds: Vec<u64> = (opts.base_seed..opts.base_seed + opts.disk_seeds).collect();
-        sweep(&protocols, &seeds, true, &mut failures, &mut total_runs);
-    }
-
-    if opts.kv_seeds > 0 {
+    for sweep in sweeps.iter().filter(|s| !s.seeds.is_empty()) {
         let t0 = Instant::now();
-        let mut kv_failures = 0u64;
-        for seed in opts.base_seed..opts.base_seed + opts.kv_seeds {
+        let mut failed = 0u64;
+        let mut totals = Counters::default();
+        for &seed in &sweep.seeds {
+            let report = (sweep.run)(seed, None);
             total_runs += 1;
-            match run_kv_chaos(seed) {
-                Ok(stats) => {
-                    println!(
-                        "kv chaos seed {seed}: ok ({} submitted, {} retries, {} applied, \
-                         converged in {} ticks)",
-                        stats.submitted, stats.duplicates, stats.applied, stats.converge_ticks
-                    );
+            totals.merge(&report.stats);
+            if report.violation.is_none() {
+                if sweep.seeds.len() <= 8 {
+                    println!("{} seed {seed}: ok ({})", sweep.label, report.stats);
                 }
-                Err(e) => {
-                    failures += 1;
-                    kv_failures += 1;
-                    let rendered = format!("kv chaos seed {seed} FAILED: {e}");
-                    eprintln!("{rendered}");
-                    if let Some(dir) = &opts.out {
-                        let path = dir.join(format!("kv-seed{seed}.txt"));
-                        let _ = std::fs::write(&path, &rendered);
-                    }
+                continue;
+            }
+            failures += 1;
+            failed += 1;
+            let mut rendered = render_report(&report);
+            if opts.minimize {
+                let fails = |s: &[ScheduledFault]| (sweep.run)(seed, Some(s)).violation.is_some();
+                let reduced = minimize(&report.schedule, fails);
+                rendered.push_str("\n--- minimized schedule ---\n");
+                rendered.push_str(&render_report(&(sweep.run)(seed, Some(&reduced))));
+            }
+            eprintln!("{rendered}");
+            if let Some(dir) = &opts.out {
+                let path = dir.join(format!("{}-seed{seed}.txt", sweep.slug));
+                match std::fs::write(&path, &rendered) {
+                    Ok(()) => eprintln!("trace written to {}", path.display()),
+                    Err(e) => eprintln!("cannot write {}: {e}", path.display()),
                 }
             }
         }
+        let headline: Vec<String> = (sweep.headline.iter())
+            .map(|k| format!("{k}={}", totals.get(k)))
+            .collect();
         println!(
-            "{:<34} {:>5} runs  {:>3} failed  {:>27} {:>6.1}s",
-            "kv store (sessions)",
-            opts.kv_seeds,
-            kv_failures,
-            "",
-            t0.elapsed().as_secs_f64()
-        );
-    }
-
-    if opts.read_seeds > 0 {
-        const MODES: [(ReadMode, &str); 3] = [
-            (ReadMode::Log, "log"),
-            (ReadMode::Lease, "lease"),
-            (ReadMode::ReadIndex, "read-index"),
-        ];
-        for (mode, name) in MODES {
-            let t0 = Instant::now();
-            let mut read_failures = 0u64;
-            let mut served = 0u64;
-            for seed in opts.base_seed..opts.base_seed + opts.read_seeds {
-                total_runs += 1;
-                match run_read_chaos(seed, mode) {
-                    Ok(stats) => {
-                        served += stats.reads_served;
-                        if opts.read_seeds <= 8 {
-                            println!(
-                                "read chaos [{name}] seed {seed}: ok ({} writes, {} reads, \
-                                 {} served, {} expired, converged in {} ticks)",
-                                stats.writes,
-                                stats.reads_issued,
-                                stats.reads_served,
-                                stats.reads_expired,
-                                stats.converge_ticks
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        failures += 1;
-                        read_failures += 1;
-                        let rendered = format!("read chaos [{name}] seed {seed} FAILED: {e}");
-                        eprintln!("{rendered}");
-                        if let Some(dir) = &opts.out {
-                            let path = dir.join(format!("read-{name}-seed{seed}.txt"));
-                            let _ = std::fs::write(&path, &rendered);
-                        }
-                    }
-                }
-            }
-            println!(
-                "{:<34} {:>5} runs  {:>3} failed  {:>15} reads served  {:>6.1}s",
-                format!("read modes [{name}]"),
-                opts.read_seeds,
-                read_failures,
-                served,
-                t0.elapsed().as_secs_f64()
-            );
-        }
-    }
-
-    if opts.shard_seeds > 0 {
-        let t0 = Instant::now();
-        let mut shard_failures = 0u64;
-        let mut moves = 0u64;
-        for seed in opts.base_seed..opts.base_seed + opts.shard_seeds {
-            total_runs += 1;
-            match run_shard_chaos(seed) {
-                Ok(stats) => {
-                    if let Some(s) = stats.migrated_shard {
-                        moves += 1;
-                        println!(
-                            "shard chaos seed {seed}: ok ({} submitted, {} retries, {} \
-                             applied, shard {s} migrated, converged in {} ticks)",
-                            stats.submitted, stats.duplicates, stats.applied, stats.converge_ticks
-                        );
-                    } else {
-                        println!(
-                            "shard chaos seed {seed}: ok ({} submitted, {} retries, {} \
-                             applied, converged in {} ticks)",
-                            stats.submitted, stats.duplicates, stats.applied, stats.converge_ticks
-                        );
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    shard_failures += 1;
-                    let rendered = format!("shard chaos seed {seed} FAILED: {e}");
-                    eprintln!("{rendered}");
-                    if let Some(dir) = &opts.out {
-                        let path = dir.join(format!("shard-seed{seed}.txt"));
-                        let _ = std::fs::write(&path, &rendered);
-                    }
-                }
-            }
-        }
-        println!(
-            "{:<34} {:>5} runs  {:>3} failed  {:>15} shard moves  {:>6.1}s",
-            "sharded kv (multi-group)",
-            opts.shard_seeds,
-            shard_failures,
-            moves,
-            t0.elapsed().as_secs_f64()
-        );
-    }
-
-    if opts.txn_seeds > 0 {
-        let t0 = Instant::now();
-        let mut txn_failures = 0u64;
-        let mut committed = 0u64;
-        let mut aborted = 0u64;
-        for seed in opts.base_seed..opts.base_seed + opts.txn_seeds {
-            total_runs += 1;
-            match run_txn_chaos(seed) {
-                Ok(stats) => {
-                    committed += stats.committed;
-                    aborted += stats.aborted;
-                    if opts.txn_seeds <= 8 {
-                        println!(
-                            "txn chaos seed {seed}: ok ({} txns, {} cross-shard, {} \
-                             committed, {} aborted, {} disk faults{}, converged in {} ticks)",
-                            stats.submitted,
-                            stats.cross_shard,
-                            stats.committed,
-                            stats.aborted,
-                            stats.disk_faults,
-                            match stats.migrated_shard {
-                                Some(s) => format!(", shard {s} migrated"),
-                                None => String::new(),
-                            },
-                            stats.converge_ticks
-                        );
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    txn_failures += 1;
-                    let rendered = format!("txn chaos seed {seed} FAILED: {e}");
-                    eprintln!("{rendered}");
-                    if let Some(dir) = &opts.out {
-                        let path = dir.join(format!("txn-seed{seed}.txt"));
-                        let _ = std::fs::write(&path, &rendered);
-                    }
-                }
-            }
-        }
-        println!(
-            "{:<34} {:>5} runs  {:>3} failed  {:>10} committed / {} aborted  {:>6.1}s",
-            "cross-shard txns (2pc)",
-            opts.txn_seeds,
-            txn_failures,
-            committed,
-            aborted,
+            "{:<34} {:>5} runs  {:>3} failed  {:>30}  {:>6.1}s",
+            sweep.label,
+            sweep.seeds.len(),
+            failed,
+            headline.join(" "),
             t0.elapsed().as_secs_f64()
         );
     }

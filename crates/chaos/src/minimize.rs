@@ -1,69 +1,50 @@
 //! Greedy fault-schedule minimization (delta debugging).
 //!
-//! Given a failing `(config, schedule)` pair, repeatedly re-run with
-//! subsets of the schedule and keep any subset that still fails. Chunked
-//! passes (drop half, then quarters, …) shrink fast; a final
-//! one-at-a-time pass removes every individually unnecessary event. The
+//! Given a failing schedule, repeatedly re-run with subsets of it and
+//! keep any subset that still fails. Chunked passes (drop half, then
+//! quarters, …) shrink fast; a final one-at-a-time pass removes every
+//! individually unnecessary event. The
 //! result is 1-minimal: removing any single remaining fault makes the
 //! failure disappear — which is usually the difference between staring at
 //! fourteen faults and staring at the two that matter.
 
-use crate::harness::{run_schedule, ChaosConfig};
 use crate::schedule::ScheduledFault;
 
-fn fails(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> bool {
-    run_schedule(cfg, schedule).violation.is_some()
-}
-
-/// Minimize a failing schedule. Returns the reduced schedule, which still
-/// fails under `cfg`. Panics if the input does not fail (nothing to
-/// minimize — a caller bug).
-pub fn minimize(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> Vec<ScheduledFault> {
+/// Minimize a failing schedule: `fails` replays a candidate schedule and
+/// reports whether it still fails (a protocol run, or a kv workload run
+/// of the same seed). Returns the reduced schedule, which still fails.
+/// Panics if the input does not fail (nothing to minimize — a caller
+/// bug).
+pub fn minimize(
+    schedule: &[ScheduledFault],
+    mut fails: impl FnMut(&[ScheduledFault]) -> bool,
+) -> Vec<ScheduledFault> {
     assert!(
-        fails(cfg, schedule),
+        fails(schedule),
         "minimize() needs a failing schedule to start from"
     );
     let mut cur: Vec<ScheduledFault> = schedule.to_vec();
-
-    // Chunked passes: try dropping progressively smaller windows.
+    // Passes dropping progressively smaller windows, then single faults
+    // until a whole pass removes none: removals can re-enable others, and
+    // the fixpoint is 1-minimal.
     let mut chunk = (cur.len() / 2).max(1);
-    while chunk >= 1 {
+    loop {
+        let mut removed = false;
         let mut start = 0;
         while start < cur.len() {
             let end = (start + chunk).min(cur.len());
-            let mut cand = Vec::with_capacity(cur.len() - (end - start));
-            cand.extend_from_slice(&cur[..start]);
-            cand.extend_from_slice(&cur[end..]);
-            if fails(cfg, &cand) {
+            let cand: Vec<ScheduledFault> = [&cur[..start], &cur[end..]].concat();
+            if fails(&cand) {
                 cur = cand; // window was irrelevant; don't advance start
+                removed = true;
             } else {
                 start += chunk;
             }
         }
-        if chunk == 1 {
-            break;
-        }
-        chunk /= 2;
-    }
-
-    // Final 1-minimal pass (chunk == 1 above already is one, but chunked
-    // removals can re-enable single removals — iterate to fixpoint).
-    loop {
-        let mut removed = false;
-        let mut i = 0;
-        while i < cur.len() {
-            let mut cand = cur.clone();
-            cand.remove(i);
-            if fails(cfg, &cand) {
-                cur = cand;
-                removed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !removed {
-            break;
+        if chunk > 1 {
+            chunk /= 2;
+        } else if !removed {
+            return cur;
         }
     }
-    cur
 }

@@ -30,7 +30,7 @@ pub struct Breach {
     pub detail: String,
 }
 
-fn breach(invariant: &'static str, detail: String) -> Result<(), Breach> {
+pub(crate) fn breach<T>(invariant: &'static str, detail: String) -> Result<T, Breach> {
     Err(Breach { invariant, detail })
 }
 

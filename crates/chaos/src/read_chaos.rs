@@ -1,14 +1,13 @@
-//! Chaos over the linearizable read modes: staleness under skew + faults.
+//! The linearizable read modes under skew and faults: no stale read.
 //!
-//! The kv chaos module checks session dedup; this one checks the *read*
-//! contract of [`kvstore::ReadMode`]. A monotone counter per key is grown
-//! through `Add` writes at the current leader; every read — leader-lease,
-//! read-index, or read-through-log — must observe a value at least as
-//! large as every `Add` whose completion was observed **before the read
-//! was issued**. A lease implementation that let a deposed-but-lease-
-//! holding leader keep serving after a successor committed writes, or a
-//! read-index barrier captured from a stale leader, shows up here as a
-//! counter going backwards.
+//! This workload checks the *read* contract of [`kvstore::ReadMode`]. A
+//! monotone counter per key is grown through `Add` writes at a claiming
+//! leader; every read — leader-lease, read-index, or read-through-log —
+//! must observe a value at least as large as every `Add` whose completion
+//! was observed **before the read was issued**. A lease implementation
+//! that let a deposed-but-lease-holding leader keep serving after a
+//! successor committed writes, or a read-index barrier captured from a
+//! stale leader, shows up here as a counter going backwards.
 //!
 //! On top of the link cuts and crash/recovery faults, a **clock-skew
 //! nemesis** runs each node's lease clock at a slightly different rate:
@@ -17,299 +16,152 @@
 //! window — the exact contract the epsilon is supposed to absorb. Skew
 //! inside the bound must never produce a stale read.
 
-use kvstore::{KvCommand, KvNode, KvOp, NodeId, ReadMode};
-use omnipaxos::service::{ServerConfig, ServiceMsg};
-use simulator::{Network, NetworkConfig, Rng};
-use std::collections::{HashMap, HashSet};
+use crate::driver::{Cluster, Node, Shape, Workload};
+use crate::monitor::{breach, Breach};
+use crate::trace::Counters;
+use crate::NodeId;
+use kvstore::{KvCommand, KvOp, KvResult, ReadMode};
+use omnipaxos::service::ServerConfig;
+use simulator::Rng;
+use std::collections::HashMap;
 
-const TICK_US: u64 = 1_000;
-const N: usize = 3;
 /// Lease duration in simulator ticks; epsilon is the skew the cluster
 /// contract absorbs, and the nemesis drifts clocks right up to it.
 const LEASE_TICKS: u64 = 30;
 const LEASE_EPSILON: u64 = 6;
+/// Read clients are `READ_CLIENT + i` at node `i`.
+const READ_CLIENT: u64 = 900;
 
-/// Statistics of a passing read-chaos run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadChaosStats {
-    pub writes: u64,
-    pub reads_issued: u64,
-    pub reads_served: u64,
-    pub reads_expired: u64,
-    pub converge_ticks: u64,
+/// Writes and reads in one mode against a per-key staleness floor.
+pub struct Reads {
+    mode: ReadMode,
+    /// Node `i` gets one extra tick every `skew[i]` ticks (0 = a
+    /// well-behaved clock). The fastest period keeps drift under
+    /// `LEASE_EPSILON` per `LEASE_TICKS` window: 30/8 < 6.
+    skew: [u64; 3],
+    /// Where each write was submitted: completion is when THAT node
+    /// reports it applied — only then does its value join the floor.
+    write_site: HashMap<(u64, u64), usize>,
+    /// Highest completed counter value per key: the staleness floor.
+    floor: HashMap<String, i64>,
+    /// Reads in flight: `(node, client, seq)` → (key, floor at issue).
+    pending: HashMap<(usize, u64, u64), (String, i64)>,
 }
 
-/// One seeded schedule of writes, reads in `mode`, faults, and bounded
-/// clock skew; `Err` describes the violated invariant.
-pub fn run_read_chaos(seed: u64, mode: ReadMode) -> Result<ReadChaosStats, String> {
-    let members: Vec<NodeId> = (1..=N as NodeId).collect();
-    let mut nodes: Vec<KvNode> = members
-        .iter()
-        .map(|&p| {
-            let mut cfg = ServerConfig::with(p);
-            cfg.lease_ticks = LEASE_TICKS;
-            cfg.lease_epsilon_ticks = LEASE_EPSILON;
-            KvNode::with_config(cfg, members.clone())
-        })
-        .collect();
-    let mut net: Network<ServiceMsg<KvCommand>> = Network::new(NetworkConfig {
-        nodes: members.clone(),
-        default_latency_us: 100,
-        jitter_us: 0,
-        nic_bytes_per_sec: None,
-        priority_bytes: 256,
-        seed,
-    });
-    let mut rng = Rng::seed_from_u64(seed ^ 0xBEAD_CAFE ^ mode.discriminant() as u64);
+impl Reads {
+    pub fn new(mode: ReadMode, seed: u64) -> Self {
+        let mut rng = Rng::seed_from_u64(seed ^ 0xBEAD_CAFE);
+        Reads {
+            mode,
+            skew: [(); 3].map(|_| [0, 8, 16][rng.below(3) as usize]),
+            write_site: HashMap::new(),
+            floor: HashMap::new(),
+            pending: HashMap::new(),
+        }
+    }
+}
 
-    // Clock-skew nemesis: node i gets one extra tick every `period` steps
-    // (0 = a well-behaved clock). The fastest allowed period keeps drift
-    // under LEASE_EPSILON per LEASE_TICKS window: 30/8 < 6.
-    let skew_period: Vec<u64> = (0..N)
-        .map(|_| match rng.below(3) {
-            0 => 0,
-            1 => 8,
-            _ => 16,
-        })
-        .collect();
+impl Workload for Reads {
+    fn shape(&self) -> Shape {
+        Shape {
+            shards: 1,
+            compact: false,
+            disk: false,
+        }
+    }
 
-    let mut crashed: HashSet<NodeId> = HashSet::new();
-    let mut cut: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut next_seq: HashMap<u64, u64> = HashMap::new();
-    // Where each write was submitted: completion is when THAT node reports
-    // it applied — only then does the write's value join the read floor.
-    let mut write_site: HashMap<(u64, u64), usize> = HashMap::new();
-    // Highest completed counter value per key: the staleness floor.
-    let mut floor: HashMap<String, i64> = HashMap::new();
-    // Reads in flight: (issuing node, client, seq) -> (key, floor at issue).
-    let mut pending_reads: HashMap<(usize, u64, u64), (String, i64)> = HashMap::new();
-    let mut read_seq = 0u64;
-    let mut stats = ReadChaosStats {
-        writes: 0,
-        reads_issued: 0,
-        reads_served: 0,
-        reads_expired: 0,
-        converge_ticks: 0,
-    };
+    fn config(&self, pid: NodeId) -> ServerConfig {
+        let mut cfg = ServerConfig::with(pid);
+        cfg.lease_ticks = LEASE_TICKS;
+        cfg.lease_epsilon_ticks = LEASE_EPSILON;
+        cfg
+    }
 
-    let step = |t: u64,
-                nodes: &mut Vec<KvNode>,
-                net: &mut Network<ServiceMsg<KvCommand>>,
-                crashed: &HashSet<NodeId>,
-                write_site: &HashMap<(u64, u64), usize>,
-                floor: &mut HashMap<String, i64>,
-                pending_reads: &mut HashMap<(usize, u64, u64), (String, i64)>,
-                stats: &mut ReadChaosStats|
-     -> Result<(), String> {
-        let deadline = t * TICK_US;
-        while let Some(d) = net.pop_next_before(deadline) {
-            if !crashed.contains(&d.dst) {
-                nodes[(d.dst - 1) as usize].handle(d.src, d.msg);
+    fn traffic(&mut self, t: u64, cx: &mut Cluster) {
+        // Writes: monotone counters, submitted at a claiming leader (under
+        // a partition both the deposed and the new leader may claim — the
+        // dangerous interleaving the lease must survive). The key follows
+        // from the seq, so a completion maps back to its key.
+        let claiming = if t.is_multiple_of(5) {
+            cx.claimants(0)
+        } else {
+            Vec::new()
+        };
+        if !claiming.is_empty() {
+            let li = claiming[cx.rng.below(claiming.len() as u64) as usize];
+            let client = cx.rng.range_inclusive(1, 2);
+            let seq = cx.issue(0, client);
+            let key = format!("k{}", seq % 4);
+            let cmd = KvCommand {
+                client,
+                seq,
+                op: KvOp::Add { key, delta: 1 },
+            };
+            if cx.nodes[li].submit_batch(0, [cmd]).is_ok() {
+                cx.stats.add("writes", 1);
+                self.write_site.insert((client, seq), li);
             }
         }
-        net.advance_to(deadline);
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let pid = (i + 1) as NodeId;
-            let out = node.outgoing();
-            if crashed.contains(&pid) {
-                continue;
+        // Reads in the mode under test, issued at a random live node —
+        // including deposed leaders and partitioned followers.
+        if t.is_multiple_of(3) {
+            let i = cx.rng.below(3) as usize;
+            if cx.live(i) {
+                let key = format!("k{}", cx.rng.below(4));
+                let client = READ_CLIENT + i as u64;
+                let seq = cx.issue(0, client);
+                let floor = self.floor.get(&key).copied().unwrap_or(0);
+                if cx.nodes[i]
+                    .read(self.mode, client, seq, key.clone())
+                    .is_ok()
+                {
+                    cx.stats.add("reads_issued", 1);
+                    self.pending.insert((i, client, seq), (key, floor));
+                }
             }
-            node.tick();
-            if skew_period[i] > 0 && t.is_multiple_of(skew_period[i]) {
-                // The skewed clock runs fast: an extra lease tick.
-                node.tick();
-            }
-            for (to, msg) in out {
-                let bytes = msg.size_bytes();
-                net.send(pid, to, bytes, msg);
-            }
-            for r in node.take_results() {
-                if let Some((key, read_floor)) = pending_reads.remove(&(i, r.client, r.seq)) {
-                    if r.applied {
-                        stats.reads_served += 1;
-                        let seen = r.value.unwrap_or(0);
-                        if seen < read_floor {
-                            return Err(format!(
-                                "stale read: node {pid} served {key}={seen} in mode {mode:?} \
-                                 after a completed write had raised it to {read_floor}"
-                            ));
-                        }
-                    } else {
-                        stats.reads_expired += 1;
-                    }
-                } else if r.applied && write_site.get(&(r.client, r.seq)) == Some(&i) {
-                    // The submitting site answered: the write completed,
-                    // so every later read must observe it.
-                    if let Some(v) = r.value {
-                        let f = floor.entry(format!("k{}", r.seq % 4)).or_insert(0);
-                        // `Add` returns the post-apply counter; keys are
-                        // derived from seq below so the echo maps back.
-                        *f = (*f).max(v);
-                    }
+        }
+    }
+
+    fn skew(&self, t: u64, i: usize) -> bool {
+        self.skew[i] > 0 && t.is_multiple_of(self.skew[i])
+    }
+
+    fn observe(
+        &mut self,
+        i: usize,
+        _node: &mut Node,
+        results: &[(u32, KvResult)],
+        stats: &mut Counters,
+    ) -> Result<(), Breach> {
+        for (_, r) in results {
+            if let Some((key, floor)) = self.pending.remove(&(i, r.client, r.seq)) {
+                if !r.applied {
+                    stats.add("reads_expired", 1);
+                    continue;
+                }
+                stats.add("reads_served", 1);
+                let seen = r.value.unwrap_or(0);
+                if seen < floor {
+                    return breach(
+                        "stale-read",
+                        format!(
+                            "node {} served {key}={seen} in mode {:?} after a completed \
+                             write had raised it to {floor}",
+                            i + 1,
+                            self.mode
+                        ),
+                    );
+                }
+            } else if r.applied && self.write_site.get(&(r.client, r.seq)) == Some(&i) {
+                // The submitting site answered: the write completed, so
+                // every later read must observe it (`Add` returns the
+                // post-apply counter).
+                if let Some(v) = r.value {
+                    let f = self.floor.entry(format!("k{}", r.seq % 4)).or_insert(0);
+                    *f = (*f).max(v);
                 }
             }
         }
         Ok(())
-    };
-
-    for t in 1..=1_500u64 {
-        if rng.chance(0.01) {
-            let a = rng.range_inclusive(1, N as u64);
-            let b = 1 + (a % N as u64);
-            match rng.below(4) {
-                0 => {
-                    net.links_mut().set_link(a, b, false);
-                    cut.push((a, b));
-                }
-                1 => {
-                    if let Some((x, y)) = cut.pop() {
-                        if net.links_mut().set_link(x, y, true) {
-                            nodes[(x - 1) as usize].server().reconnected(y);
-                            nodes[(y - 1) as usize].server().reconnected(x);
-                        }
-                    }
-                }
-                2 => {
-                    if crashed.insert(a) {
-                        net.drop_in_flight_for(a);
-                    }
-                }
-                _ => {
-                    if crashed.remove(&a) {
-                        // Leases must not survive recovery: fail_recovery
-                        // re-arms the grant holdoff, and any stale serve
-                        // after this point trips the floor check.
-                        nodes[(a - 1) as usize].server().fail_recovery();
-                    }
-                }
-            }
-        }
-
-        // Writes: monotone counters, submitted at a claiming leader (under
-        // a partition both the deposed and the new leader may claim — the
-        // dangerous interleaving the lease must survive).
-        if t % 5 == 0 {
-            let claiming: Vec<usize> = (0..N)
-                .filter(|&i| !crashed.contains(&((i + 1) as NodeId)) && nodes[i].is_leader())
-                .collect();
-            if !claiming.is_empty() {
-                let li = claiming[rng.below(claiming.len() as u64) as usize];
-                let client = rng.range_inclusive(1, 2);
-                let seq = next_seq.entry(client).or_insert(1);
-                let s = *seq;
-                *seq += 1;
-                let cmd = KvCommand {
-                    client,
-                    seq: s,
-                    op: KvOp::Add {
-                        key: format!("k{}", s % 4),
-                        delta: 1,
-                    },
-                };
-                if nodes[li].submit(cmd).is_ok() {
-                    stats.writes += 1;
-                    write_site.insert((client, s), li);
-                }
-            }
-        }
-
-        // Reads in the mode under test, issued at a random live node —
-        // including deposed leaders and partitioned followers.
-        if t % 3 == 0 {
-            let i = rng.below(N as u64) as usize;
-            if !crashed.contains(&((i + 1) as NodeId)) {
-                let key = format!("k{}", rng.below(4));
-                read_seq += 1;
-                let client = 900 + i as u64;
-                let snapshot = floor.get(&key).copied().unwrap_or(0);
-                if nodes[i].read(mode, client, read_seq, key.clone()).is_ok() {
-                    stats.reads_issued += 1;
-                    pending_reads.insert((i, client, read_seq), (key, snapshot));
-                }
-            }
-        }
-
-        step(
-            t,
-            &mut nodes,
-            &mut net,
-            &crashed,
-            &write_site,
-            &mut floor,
-            &mut pending_reads,
-            &mut stats,
-        )?;
     }
-
-    // Heal everything and require convergence plus drained reads.
-    for (x, y) in cut.drain(..) {
-        if net.links_mut().set_link(x, y, true) {
-            nodes[(x - 1) as usize].server().reconnected(y);
-            nodes[(y - 1) as usize].server().reconnected(x);
-        }
-    }
-    let down: Vec<NodeId> = crashed.drain().collect();
-    for p in down {
-        nodes[(p - 1) as usize].server().fail_recovery();
-    }
-    for t in 1_501..=6_000u64 {
-        step(
-            t,
-            &mut nodes,
-            &mut net,
-            &crashed,
-            &write_site,
-            &mut floor,
-            &mut pending_reads,
-            &mut stats,
-        )?;
-        if t % 16 == 0 {
-            let sm0 = nodes[0].state_machine();
-            // Reads may be legitimately lost (a log-path read whose
-            // proposal died with a cut link has no retry machinery here;
-            // real clients retry end to end), so convergence does not
-            // require the pending map to drain — but any read that DOES
-            // complete after heal still goes through the floor check.
-            if nodes[1..].iter().all(|n| n.state_machine() == sm0) {
-                stats.converge_ticks = t - 1_500;
-                return Ok(stats);
-            }
-        }
-    }
-    let detail: Vec<String> = nodes
-        .iter_mut()
-        .map(|n| {
-            let (keys, decided, is_l, lease, believes) = (
-                n.state().len(),
-                n.server_ref().decided_len(),
-                n.is_leader(),
-                n.lease_valid(),
-                n.server_ref().leader(),
-            );
-            let pid = n.pid();
-            let ble = n
-                .server()
-                .omni()
-                .map(|o| {
-                    let b = o.ble();
-                    format!(
-                        "ballot={:?} ble_leader={:?} grant_active={} granted_to={:?} qc={}",
-                        b.current_ballot(),
-                        b.leader(),
-                        b.grant_active(),
-                        b.granted_to(),
-                        b.is_quorum_connected()
-                    )
-                })
-                .unwrap_or_default();
-            format!(
-                "pid {pid} keys={keys} decided={decided} leader={is_l} lease={lease} \
-                 believes={believes:?} {ble}"
-            )
-        })
-        .collect();
-    Err(format!(
-        "read-chaos replicas did not converge after heal: {}",
-        detail.join("; ")
-    ))
 }

@@ -3,6 +3,7 @@
 use crate::NodeId;
 use omnipaxos::StorageFaultKind;
 use simulator::Rng;
+use std::collections::BTreeSet;
 
 /// One injectable fault. Leader-relative patterns (`QuorumLoss`,
 /// `ConstrainedStage*`, `CrashLeader`) are resolved against the live
@@ -62,6 +63,10 @@ pub enum Fault {
     DiskFaultLeader(StorageFaultKind),
 }
 
+/// The forced heal that ends every fault phase: calm the links, restart
+/// every crashed or disk-halted server, heal every cut.
+pub(crate) const HEAL: [Fault; 3] = [Fault::DelayCalm, Fault::RecoverAll, Fault::HealAll];
+
 /// A fault bound to the simulation tick at which it fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledFault {
@@ -89,26 +94,12 @@ fn disk_kind(rng: &mut Rng) -> StorageFaultKind {
 }
 
 /// Generate a schedule of `events` faults over `[warmup, horizon)` ticks
-/// for an `n`-server cluster. Same `(seed, n, events, horizon)` ⇒ same
-/// schedule.
-pub fn generate(seed: u64, n: usize, events: usize, horizon_ticks: u64) -> Vec<ScheduledFault> {
-    generate_profile(seed, n, events, horizon_ticks, false)
-}
-
-/// Like [`generate`], but a third of the events are disk faults
-/// ([`Fault::DiskFault`]/[`Fault::DiskFaultLeader`]) on top of the full
-/// network/crash vocabulary. A separate profile so every schedule the
-/// regression seeds pin down stays byte-identical.
-pub fn generate_disk(
-    seed: u64,
-    n: usize,
-    events: usize,
-    horizon_ticks: u64,
-) -> Vec<ScheduledFault> {
-    generate_profile(seed, n, events, horizon_ticks, true)
-}
-
-fn generate_profile(
+/// for an `n`-server cluster. With `disk`, a third of the events are disk
+/// faults ([`Fault::DiskFault`]/[`Fault::DiskFaultLeader`]) on top of the
+/// full network/crash vocabulary, from a separate seed stream so every
+/// plain schedule the regression seeds pin down stays byte-identical.
+/// Same arguments ⇒ same schedule.
+pub fn generate(
     seed: u64,
     n: usize,
     events: usize,
@@ -172,20 +163,72 @@ fn generate_profile(
     out
 }
 
+/// The kv workloads' fault mix over `voters` servers: each of `ticks`
+/// ticks draws a fault with probability 1 % — a link cut to the next
+/// pid, a heal of the newest cut, a crash, and a recovery of a crashed
+/// server (else, with `compact`, a compaction), plus with `disk` a disk
+/// fault at a live server. Which shard a compaction or disk fault hits
+/// is resolved when it fires. Same arguments ⇒ same schedule.
+pub fn generate_kv(
+    seed: u64,
+    voters: usize,
+    ticks: u64,
+    compact: bool,
+    disk: bool,
+) -> Vec<ScheduledFault> {
+    let mut rng = Rng::seed_from_u64(seed ^ 0x4B56_FA17);
+    let n = voters as u64;
+    let mut cut: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut down: BTreeSet<NodeId> = BTreeSet::new();
+    let mut out = Vec::new();
+    for at_tick in 1..=ticks {
+        if !rng.chance(0.01) {
+            continue;
+        }
+        let a = rng.range_inclusive(1, n);
+        let b = 1 + a % n;
+        let fault = match rng.below(if disk { 5 } else { 4 }) {
+            0 => {
+                cut.push((a, b));
+                Some(Fault::CutLink(a, b))
+            }
+            1 => cut.pop().map(|(x, y)| Fault::HealLink(x, y)),
+            2 => {
+                down.insert(a);
+                Some(Fault::Crash(a))
+            }
+            3 if down.remove(&a) => Some(Fault::Recover(a)),
+            3 => compact.then_some(Fault::Compact(a)),
+            _ => (!down.contains(&a)).then(|| Fault::DiskFault(a, disk_kind(&mut rng))),
+        };
+        out.extend(fault.map(|fault| ScheduledFault { at_tick, fault }));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn same_seed_same_schedule() {
-        assert_eq!(generate(7, 5, 20, 1000), generate(7, 5, 20, 1000));
-        assert_ne!(generate(7, 5, 20, 1000), generate(8, 5, 20, 1000));
+        assert_eq!(
+            generate(7, 5, 20, 1000, false),
+            generate(7, 5, 20, 1000, false)
+        );
+        assert_ne!(
+            generate(7, 5, 20, 1000, false),
+            generate(8, 5, 20, 1000, false)
+        );
     }
 
     #[test]
     fn disk_profile_is_deterministic_and_contains_disk_faults() {
-        assert_eq!(generate_disk(7, 5, 40, 1000), generate_disk(7, 5, 40, 1000));
-        let hits = generate_disk(7, 5, 40, 1000)
+        assert_eq!(
+            generate(7, 5, 40, 1000, true),
+            generate(7, 5, 40, 1000, true)
+        );
+        let hits = generate(7, 5, 40, 1000, true)
             .iter()
             .filter(|f| matches!(f.fault, Fault::DiskFault(_, _) | Fault::DiskFaultLeader(_)))
             .count();
@@ -196,7 +239,7 @@ mod tests {
     fn plain_profile_is_unchanged_by_the_disk_extension() {
         // Pinned: the regression seeds in the chaos tests replay these
         // schedules; the disk profile must not perturb them.
-        for f in generate(7, 5, 200, 1000) {
+        for f in generate(7, 5, 200, 1000, false) {
             assert!(
                 !matches!(f.fault, Fault::DiskFault(_, _) | Fault::DiskFaultLeader(_)),
                 "plain generate() emitted a disk fault"
@@ -207,7 +250,7 @@ mod tests {
     #[test]
     fn pairs_are_distinct_and_in_range() {
         for s in 0..32 {
-            for f in generate(s, 3, 30, 500) {
+            for f in generate(s, 3, 30, 500, false) {
                 match f.fault {
                     Fault::CutLink(a, b) | Fault::HealLink(a, b) | Fault::SessionDrop(a, b) => {
                         assert_ne!(a, b);

@@ -1,4 +1,4 @@
-//! Replayable event traces and their fingerprints.
+//! Replayable event traces, their fingerprints, and run reports.
 //!
 //! Every chaos run records what happened — faults as resolved (with the
 //! concrete pids the leader-relative patterns landed on), decided batches,
@@ -6,8 +6,61 @@
 //! the same seed must produce bit-identical traces; [`fingerprint`] folds a
 //! trace into one `u64` so that claim is cheap to check and to print.
 
-use crate::harness::ChaosReport;
+use crate::schedule::ScheduledFault;
 use crate::NodeId;
+use std::collections::BTreeMap;
+
+/// A detected violation: the failing invariant plus evidence, stamped with
+/// the simulation tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    pub tick: u64,
+    pub invariant: String,
+    pub detail: String,
+}
+
+/// Named run statistics, summed over sweeps.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counters(BTreeMap<&'static str, u64>);
+
+impl Counters {
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        *self.0.entry(name).or_default() += n;
+    }
+
+    pub fn get(&self, name: &str) -> u64 {
+        self.0.get(name).copied().unwrap_or(0)
+    }
+
+    pub fn merge(&mut self, other: &Counters) {
+        for (&k, &v) in &other.0 {
+            self.add(k, v);
+        }
+    }
+}
+
+impl std::fmt::Display for Counters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let parts: Vec<String> = self.0.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        f.write_str(&parts.join(", "))
+    }
+}
+
+/// Everything one run of either driver produced: same run ⇒ bit-identical
+/// report (asserted by the replay tests).
+#[derive(Debug, Clone)]
+pub struct ChaosReport {
+    /// What ran, one `key: value` line each.
+    pub header: String,
+    pub seed: u64,
+    pub schedule: Vec<ScheduledFault>,
+    pub trace: Vec<TraceEvent>,
+    pub fingerprint: u64,
+    pub violation: Option<Violation>,
+    /// Decided positions and convergence ticks of a protocol run, a
+    /// workload's own counts for a kv run.
+    pub stats: Counters,
+}
 
 /// One observed event of a chaos run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,17 +101,13 @@ pub fn fingerprint(events: &[TraceEvent]) -> u64 {
     h
 }
 
-/// Human-readable failure report: seed, violation, schedule, full trace.
-/// This is what the CLI prints and what CI uploads as an artifact.
+/// Human-readable failure report: header, seed, violation, schedule, full
+/// trace. This is what the CLI prints and what CI uploads as an artifact.
 pub fn render_report(report: &ChaosReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "protocol: {}\nseed: {}\nnodes: {}\nfingerprint: {:016x}\n",
-        report.protocol.name(),
-        report.seed,
-        report.n,
-        report.fingerprint
-    ));
+    let mut out = format!(
+        "{}seed: {}\nfingerprint: {:016x}\n",
+        report.header, report.seed, report.fingerprint
+    );
     match &report.violation {
         Some(v) => out.push_str(&format!(
             "VIOLATION at tick {}: [{}] {}\n",

@@ -1,685 +1,290 @@
-//! Chaos over cross-shard transactions: a bank of accounts spread over
+//! Cross-shard transactions under chaos: a bank of accounts spread over
 //! the sharded store, moved between by 2PC transfers (DESIGN.md §15)
-//! while partitions, crashes, disk faults, and a mid-traffic shard
-//! migration attack every layer underneath.
+//! while partitions, crashes, disk faults, and a mid-traffic shard move
+//! attack every layer underneath.
 //!
-//! [`shard_chaos`](crate::shard_chaos) checks each shard's session
-//! contract in isolation; this module checks what *cross-shard
-//! atomicity* adds on top. The workload is transfers between random
-//! accounts — some same-shard, most spanning two shards — driven by one
-//! [`TxnCoordinator`] per node, with deliberately overdrawn transfers
-//! mixed in so both the commit and the abort path run under fire. A
-//! crashed node loses its coordinator (the replacement starts empty,
-//! like a restarted gateway), so orphan recovery by the survivors'
-//! stale-prepare scanners is exercised, not just simulated.
+//! The workload is transfers between random accounts — some same-shard,
+//! most spanning two shards — driven by one [`TxnCoordinator`] per node,
+//! with deliberately overdrawn transfers mixed in so both the commit and
+//! the abort path run under fire. A restarted node gets a fresh
+//! coordinator (a new incarnation, like a restarted gateway), so orphan
+//! recovery by the survivors' stale-prepare scanners is exercised, not
+//! just simulated. Disk faults use the real [`omnipaxos::FaultyStorage`]
+//! failpoints: a shard whose storage fails halts fail-stop
+//! mid-transaction — possibly between its prepare vote and the commit
+//! record — and recovers by storage rollback + resync.
 //!
-//! After the schedule heals, the run must reach a state where:
+//! Accounts are funded in a calm cluster first. After the heal the run
+//! must reach a state where:
 //!
-//! * **balances match the decision log** — for every transaction the
-//!   coordinator shard's replicated decision map is the ground truth;
-//!   each account's balance must equal its opening balance plus exactly
-//!   the committed transfers that touch it, at every replica of its
-//!   shard. A transaction with no recorded decision must have had no
-//!   effect (its prepares either never applied or were aborted by the
-//!   scanner);
-//! * **money is conserved** — the sum over all accounts equals the sum
-//!   of the opening balances, i.e. no committed transfer was half
-//!   applied and no aborted transfer leaked a side effect;
 //! * **no orphaned prepares survive** — every per-key lock and staged
-//!   prepare is resolved once the cluster heals, however the
-//!   coordinator that created it died;
+//!   prepare on a member replica is resolved, and every coordinator
+//!   retired every run it started;
 //! * **coordinator verdicts agree with the log** — an outcome reported
-//!   to a client must match the decision the cluster recorded;
-//! * **per-shard convergence** — each shard's replicas end bit-identical
-//!   (map, sessions, and transaction state), its session table never
-//!   runs ahead of what clients issued, and every coordinator retires
-//!   every run it started.
-//!
-//! Disk faults use the real [`FaultyStorage`] failpoints (failed fsync,
-//! short write, ENOSPC, detected corruption, crash mid-checkpoint): a
-//! shard whose storage fails halts fail-stop mid-transaction — possibly
-//! between its prepare vote and the commit record — and recovers by
-//! storage rollback + resync, the same path a real deployment takes.
+//!   to a client must match the decision the coordinator shard recorded;
+//! * **balances match the decision log** — each account's balance equals
+//!   its opening balance plus exactly the committed transfers that touch
+//!   it, at every replica of its shard, and a transaction with no
+//!   recorded decision had no effect;
+//! * **money is conserved** — the accounts sum to the opening total.
 
+use crate::driver::{Cluster, Node, Shape, Workload};
+use crate::monitor::{breach, Breach};
+use crate::trace::Counters;
 use crate::NodeId;
-use kvstore::{
-    shard_config, shard_of_key, KvCommand, KvNode, KvOp, ShardedKvNode, TxnCoordinator, TxnId,
-    TxnSpec, TXN_CLIENT_FLAG,
-};
-use omnipaxos::service::{OmniPaxosServer, ServerConfig, ServiceMsg};
-use omnipaxos::{FaultyStorage, MemoryStorage, StorageFaultKind};
-use simulator::{Network, NetworkConfig, Rng};
-use std::collections::{HashMap, HashSet};
+use kvstore::{shard_of_key, KvCommand, KvOp, KvResult, TxnCoordinator, TxnId, TxnSpec};
+use std::collections::BTreeMap;
 
-const TICK_US: u64 = 1_000;
-/// Voting members; node `JOINER` idles until a shard is moved onto it.
-const N: usize = 3;
-const JOINER: NodeId = 4;
 const SHARDS: usize = 4;
 /// Bank accounts, hashed over the shards.
 const ACCOUNTS: usize = 8;
 const OPENING: i64 = 1_000;
+/// An amount no account can ever cover: the guard votes no.
+const OVERDRAWN: i64 = ACCOUNTS as i64 * OPENING + 1;
 /// Client ids: transactions, funding puts, and plain-write noise.
 const TXN_CLIENT: u64 = 7;
 const FUND_CLIENT: u64 = 5;
 const NOISE_CLIENT: u64 = 2;
 
-/// Per-node verdict history, as in `shard_chaos`: duplicate applied
-/// reports are legal iff they carry the identical value.
-type VerdictMap = HashMap<(u32, u64, u64), Option<i64>>;
-type Store = FaultyStorage<KvCommand, MemoryStorage<KvCommand>>;
-type Node = ShardedKvNode<Store>;
-
-/// Statistics of a passing transaction chaos run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxnChaosStats {
-    /// Transactions begun (committed + aborted + never-prepared).
-    pub submitted: u64,
-    pub committed: u64,
-    pub aborted: u64,
-    /// How many submitted transactions spanned two shards.
-    pub cross_shard: u64,
-    /// Disk failpoints armed during the run.
-    pub disk_faults: u64,
-    /// Which shard was migrated onto the joiner mid-traffic, if the
-    /// cluster actually decided the move.
-    pub migrated_shard: Option<u32>,
-    pub converge_ticks: u64,
+/// Bank transfers over 2PC, one coordinator per node.
+pub struct Bank {
+    accounts: Vec<String>,
+    shard: Vec<u32>,
+    /// Each account's funding command, retried with the same seq.
+    funding: Vec<KvCommand>,
+    /// Per node: its coordinator and its incarnation count.
+    coords: Vec<(TxnCoordinator, u32)>,
+    /// Outcomes the coordinators reported to their clients.
+    outcomes: BTreeMap<TxnId, bool>,
+    /// Every transaction begun: txn → (from, to, amount).
+    ledger: BTreeMap<TxnId, (usize, usize, i64)>,
+    next_txn: u64,
 }
 
-fn make_node(pid: NodeId, nodes: &[NodeId]) -> Node {
-    let shards = (0..SHARDS as u32)
-        .map(|s| {
-            KvNode::from_server(OmniPaxosServer::with_storage(
-                shard_config(&ServerConfig::with(pid), s, nodes),
-                nodes.to_vec(),
-                Store::default(),
-            ))
-        })
-        .collect();
-    ShardedKvNode::from_shards(shards)
-}
-
-fn make_joiner(pid: NodeId) -> Node {
-    let shards = (0..SHARDS)
-        .map(|_| KvNode::from_server(OmniPaxosServer::new_joiner(ServerConfig::with(pid))))
-        .collect();
-    ShardedKvNode::from_shards(shards)
-}
-
-/// Run one seeded transaction chaos schedule; `Err` describes the
-/// violated invariant.
-pub fn run_txn_chaos(seed: u64) -> Result<TxnChaosStats, String> {
-    let members: Vec<NodeId> = (1..=N as NodeId).collect();
-    let all_ids: Vec<NodeId> = (1..=JOINER).collect();
-    let mut nodes: Vec<Node> = members.iter().map(|&p| make_node(p, &members)).collect();
-    nodes.push(make_joiner(JOINER));
-    let mut coords: Vec<TxnCoordinator> = all_ids.iter().map(|&p| TxnCoordinator::new(p)).collect();
-    // Restart counter per node: each gateway incarnation gets a fresh
-    // coordinator identity (see `TxnCoordinator::with_nonce`).
-    let mut incarnation = vec![0u32; all_ids.len()];
-    let mut net: Network<ServiceMsg<KvCommand>> = Network::new(NetworkConfig {
-        nodes: all_ids.clone(),
-        default_latency_us: 100,
-        jitter_us: 0,
-        nic_bytes_per_sec: None,
-        priority_bytes: 256,
-        seed,
-    });
-    let mut rng = Rng::seed_from_u64(seed ^ 0x7A4B_ACC7);
-    let mut crashed: HashSet<NodeId> = HashSet::new();
-    let mut cut: Vec<(NodeId, NodeId)> = Vec::new();
-    // Per node: the verdict reported for each applied (shard, client,
-    // seq) — replays and cached-verdict retransmits must re-report the
-    // *same* verdict or an op re-executed instead of deduplicating.
-    let mut applied_seen: Vec<VerdictMap> = vec![HashMap::new(); N + 1];
-    // Outcomes the coordinators reported to their (simulated) clients.
-    let mut outcomes: HashMap<TxnId, bool> = HashMap::new();
-    // Every transaction this run ever began: txn -> (from, to, amount).
-    let mut ledger: HashMap<TxnId, (usize, usize, i64)> = HashMap::new();
-    let mut next_txn = 1u64;
-    let mut noise_seq: HashMap<u32, u64> = HashMap::new();
-    let mut stats = TxnChaosStats {
-        submitted: 0,
-        committed: 0,
-        aborted: 0,
-        cross_shard: 0,
-        disk_faults: 0,
-        migrated_shard: None,
-        converge_ticks: 0,
-    };
-
-    let accounts: Vec<String> = (0..ACCOUNTS).map(|i| format!("acct{i}")).collect();
-    let acct_shard: Vec<u32> = accounts.iter().map(|a| shard_of_key(a, SHARDS)).collect();
-    // Funding seq per account: its rank within its shard (per-shard
-    // session spaces), stable across retries.
-    let mut fund_seq = [0u64; ACCOUNTS];
-    for s in 0..SHARDS as u32 {
-        let mut q = 0;
-        for i in 0..ACCOUNTS {
-            if acct_shard[i] == s {
-                q += 1;
-                fund_seq[i] = q;
-            }
+impl Default for Bank {
+    fn default() -> Self {
+        let accounts: Vec<String> = (0..ACCOUNTS).map(|i| format!("acct{i}")).collect();
+        Bank {
+            shard: accounts.iter().map(|a| shard_of_key(a, SHARDS)).collect(),
+            accounts,
+            funding: Vec::new(),
+            coords: (1..=4).map(|p| (TxnCoordinator::new(p), 0)).collect(),
+            outcomes: BTreeMap::new(),
+            ledger: BTreeMap::new(),
+            next_txn: 1,
         }
     }
-    // Half the seeds schedule a mid-traffic snapshot-first shard move.
-    let move_plan: Option<(u32, NodeId)> = if seed.is_multiple_of(2) {
-        let shard = (seed / 2 % SHARDS as u64) as u32;
-        let donor = 1 + (seed / 8 % N as u64) as NodeId;
-        Some((shard, donor))
-    } else {
-        None
-    };
+}
 
-    let step = |t: u64,
-                nodes: &mut Vec<Node>,
-                coords: &mut Vec<TxnCoordinator>,
-                net: &mut Network<ServiceMsg<KvCommand>>,
-                crashed: &HashSet<NodeId>,
-                applied_seen: &mut Vec<VerdictMap>,
-                outcomes: &mut HashMap<TxnId, bool>|
-     -> Result<(), String> {
-        let deadline = t * TICK_US;
-        while let Some(d) = net.pop_next_before(deadline) {
-            if !crashed.contains(&d.dst) {
-                nodes[(d.dst - 1) as usize].handle(d.src, d.msg);
-            }
-        }
-        net.advance_to(deadline);
-        for i in 0..nodes.len() {
-            let pid = (i + 1) as NodeId;
-            let out = nodes[i].outgoing();
-            if crashed.contains(&pid) {
-                continue;
-            }
-            nodes[i].tick();
-            for (to, msg) in out {
-                let bytes = msg.size_bytes();
-                net.send(pid, to, bytes, msg);
-            }
-            let results = nodes[i].take_results();
-            for (shard, r) in &results {
-                // Coordinator-issued records are outside the session
-                // table (idempotent by txn id, seqs private to each
-                // coordinator *incarnation* — a restarted gateway reuses
-                // them), so per-(client, seq) verdict stability is only
-                // an invariant for session-deduped clients.
-                if r.client & TXN_CLIENT_FLAG != 0 {
-                    continue;
-                }
-                if r.applied {
-                    if let Some(prev) = applied_seen[i].get(&(*shard, r.client, r.seq)) {
-                        if *prev != r.value {
-                            return Err(format!(
-                                "verdict instability: node {pid} shard {shard} reported \
-                                 ({}, {}) applied with {:?}, then {:?}",
-                                r.client, r.seq, prev, r.value
-                            ));
-                        }
-                    } else {
-                        applied_seen[i].insert((*shard, r.client, r.seq), r.value);
-                    }
-                }
-            }
-            coords[i].observe(&mut nodes[i], &results);
-            coords[i].tick(&mut nodes[i]);
-            for o in coords[i].take_outcomes() {
-                if let Some(prev) = outcomes.insert(o.txn, o.committed) {
-                    if prev != o.committed {
-                        return Err(format!(
-                            "verdict instability: txn {:?} reported committed={prev} \
-                             then committed={}",
-                            o.txn, o.committed
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
+impl Bank {
+    /// Does every voter hold account `i`'s opening balance?
+    fn funded(&self, cx: &Cluster, i: usize) -> bool {
+        (1..=3).all(|p| self.balance(cx, p, i) == Some(OPENING))
+    }
 
-    // Calm start: elect per-shard leaders, then fund every account and
-    // wait until all voting members hold the opening balances.
-    let mut funded = false;
-    for t in 1..=800u64 {
-        if t >= 200 && t % 40 == 0 {
+    fn balance(&self, cx: &Cluster, pid: NodeId, i: usize) -> Option<i64> {
+        cx.node(pid).read_local(&self.accounts[i])
+    }
+}
+
+impl Workload for Bank {
+    fn shape(&self) -> Shape {
+        Shape {
+            shards: SHARDS,
+            compact: true,
+            disk: true,
+        }
+    }
+
+    /// Fund every account, retrying until all voters hold the opening
+    /// balances.
+    fn ready(&mut self, t: u64, cx: &mut Cluster) -> bool {
+        if self.funding.is_empty() {
+            self.funding = (0..ACCOUNTS)
+                .map(|i| KvCommand {
+                    client: FUND_CLIENT,
+                    seq: cx.issue(self.shard[i], FUND_CLIENT),
+                    op: KvOp::Put {
+                        key: self.accounts[i].clone(),
+                        value: OPENING,
+                    },
+                })
+                .collect();
+        }
+        if t >= 240 && t % 40 == 8 && (0..ACCOUNTS).all(|i| self.funded(cx, i)) {
+            return true;
+        }
+        if t >= 200 && t.is_multiple_of(40) {
             for i in 0..ACCOUNTS {
-                let s = acct_shard[i];
-                if members
-                    .iter()
-                    .all(|&p| nodes[(p - 1) as usize].read_local(&accounts[i]) == Some(OPENING))
-                {
-                    continue;
-                }
-                if let Some(li) = (0..N).find(|&j| nodes[j].is_leader(s)) {
-                    let _ = nodes[li].submit_batch(
-                        s,
-                        [KvCommand {
-                            client: FUND_CLIENT,
-                            seq: fund_seq[i],
-                            op: KvOp::Put {
-                                key: accounts[i].clone(),
-                                value: OPENING,
-                            },
-                        }],
-                    );
+                let s = self.shard[i];
+                if let (false, Some(li)) = (self.funded(cx, i), cx.leader(s)) {
+                    let _ = cx.nodes[li].submit_batch(s, [self.funding[i].clone()]);
                 }
             }
         }
-        step(
-            t,
-            &mut nodes,
-            &mut coords,
-            &mut net,
-            &crashed,
-            &mut applied_seen,
-            &mut outcomes,
-        )?;
-        if t >= 240
-            && t % 40 == 8
-            && (0..ACCOUNTS).all(|i| {
-                members
-                    .iter()
-                    .all(|&p| nodes[(p - 1) as usize].read_local(&accounts[i]) == Some(OPENING))
-            })
-        {
-            funded = true;
-            break;
-        }
-    }
-    if !funded {
-        return Err("setup failed: accounts not funded in a calm cluster".into());
+        false
     }
 
-    // Fault + transaction phase.
-    for t in 801..=2_300u64 {
-        if rng.chance(0.01) {
-            let a = rng.range_inclusive(1, N as u64);
-            let b = 1 + (a % N as u64);
-            match rng.below(5) {
-                0 => {
-                    net.links_mut().set_link(a, b, false);
-                    cut.push((a, b));
-                }
-                1 => {
-                    if let Some((x, y)) = cut.pop() {
-                        if net.links_mut().set_link(x, y, true) {
-                            nodes[(x - 1) as usize].reconnected(y);
-                            nodes[(y - 1) as usize].reconnected(x);
-                        }
-                    }
-                }
-                2 => {
-                    if crashed.insert(a) {
-                        net.drop_in_flight_for(a);
-                    }
-                }
-                3 => {
-                    if crashed.remove(&a) {
-                        nodes[(a - 1) as usize].fail_recovery();
-                        // The gateway process died with the node: its
-                        // replacement coordinator starts empty (with a
-                        // fresh incarnation identity), and the survivors'
-                        // scanners own whatever it abandoned.
-                        incarnation[(a - 1) as usize] += 1;
-                        coords[(a - 1) as usize] =
-                            TxnCoordinator::with_nonce(a, incarnation[(a - 1) as usize]);
-                    } else {
-                        let s = rng.below(SHARDS as u64) as u32;
-                        let _ = nodes[(a - 1) as usize].compact(s);
-                    }
-                }
-                _ => {
-                    // Arm a disk failpoint at one shard's storage: the
-                    // next matching operation fails and the shard halts
-                    // fail-stop until a later fail-recovery.
-                    if !crashed.contains(&a) {
-                        let kind = match rng.below(5) {
-                            0 => StorageFaultKind::SyncFailed,
-                            1 => StorageFaultKind::ShortWrite,
-                            2 => StorageFaultKind::NoSpace,
-                            3 => StorageFaultKind::Corruption,
-                            _ => StorageFaultKind::CheckpointCrash,
-                        };
-                        let s = rng.below(SHARDS as u64) as u32;
-                        if let Some(omni) = nodes[(a - 1) as usize].shard_mut(s).server().omni() {
-                            omni.sequence_paxos().storage().arm(kind);
-                            stats.disk_faults += 1;
-                        }
-                    }
-                }
-            }
-        }
-        // Mid-traffic snapshot-first shard move (as in shard_chaos):
-        // donors compact, then the leader proposes membership with the
-        // joiner replacing the donor. Transactions keep flowing.
-        if t == 1_550 {
-            if let Some((shard, donor)) = move_plan {
-                let mut new_nodes: Vec<NodeId> =
-                    members.iter().copied().filter(|&p| p != donor).collect();
-                new_nodes.push(JOINER);
-                new_nodes.sort_unstable();
-                for (i, node) in nodes.iter_mut().enumerate().take(N) {
-                    if !crashed.contains(&((i + 1) as NodeId)) {
-                        let _ = node.compact(shard);
-                    }
-                }
-                if let Some(li) = (0..N)
-                    .find(|&i| !crashed.contains(&((i + 1) as NodeId)) && nodes[i].is_leader(shard))
-                {
-                    let _ = nodes[li].reconfigure(shard, new_nodes);
-                }
-            }
-        }
-        // Transactions: random transfers, begun at a random live
-        // gateway. A fifth are overdrawn on purpose so the abort path
-        // (guard votes no) runs as often as commits under faults.
-        if t % 8 == 0 {
-            let gw = (rng.range_inclusive(1, N as u64) - 1) as usize;
-            if !crashed.contains(&((gw + 1) as NodeId)) {
-                let from = rng.below(ACCOUNTS as u64) as usize;
-                let mut to = rng.below(ACCOUNTS as u64) as usize;
-                if to == from {
-                    to = (to + 1) % ACCOUNTS;
-                }
-                let amount = if rng.chance(0.2) {
-                    ACCOUNTS as i64 * OPENING + 1 // can never be covered
+    fn traffic(&mut self, t: u64, cx: &mut Cluster) {
+        // Transfers begun at a random live gateway; a fifth are
+        // overdrawn on purpose so the abort path runs as often as commits.
+        if t.is_multiple_of(8) {
+            let gw = cx.rng.below(3) as usize;
+            if cx.live(gw) {
+                let from = cx.rng.below(ACCOUNTS as u64) as usize;
+                let to = (from + 1 + cx.rng.below(ACCOUNTS as u64 - 1) as usize) % ACCOUNTS;
+                let amount = if cx.rng.chance(0.2) {
+                    OVERDRAWN
                 } else {
-                    rng.range_inclusive(1, 100) as i64
+                    cx.rng.range_inclusive(1, 100) as i64
                 };
-                let txn: TxnId = (TXN_CLIENT, next_txn);
-                next_txn += 1;
-                let spec = TxnSpec::transfer(&accounts[from], &accounts[to], amount);
-                ledger.insert(txn, (from, to, amount));
-                stats.submitted += 1;
-                if acct_shard[from] != acct_shard[to] {
-                    stats.cross_shard += 1;
+                let txn: TxnId = (TXN_CLIENT, self.next_txn);
+                self.next_txn += 1;
+                self.ledger.insert(txn, (from, to, amount));
+                cx.stats.add("submitted", 1);
+                if self.shard[from] != self.shard[to] {
+                    cx.stats.add("cross_shard", 1);
                 }
-                if let Some(committed) = coords[gw].begin(&mut nodes[gw], txn, &spec) {
-                    outcomes.insert(txn, committed);
+                let spec = TxnSpec::transfer(&self.accounts[from], &self.accounts[to], amount);
+                if let Some(committed) = self.coords[gw].0.begin(&mut cx.nodes[gw], txn, &spec) {
+                    self.outcomes.insert(txn, committed);
                 }
             }
         }
         // Noise: zero-delta adds on account keys — they collide with
         // prepare locks (rejected, applied=false) without moving money,
         // so plain traffic and transactions interleave on the same keys.
-        if t % 16 == 0 {
-            let i = rng.below(ACCOUNTS as u64) as usize;
-            let s = acct_shard[i];
-            if let Some(li) =
-                (0..N).find(|&j| !crashed.contains(&((j + 1) as NodeId)) && nodes[j].is_leader(s))
-            {
-                let seq = noise_seq.entry(s).or_insert(0);
-                *seq += 1;
-                let _ = nodes[li].submit_batch(
-                    s,
-                    [KvCommand {
-                        client: NOISE_CLIENT,
-                        seq: *seq,
-                        op: KvOp::Add {
-                            key: accounts[i].clone(),
-                            delta: 0,
-                        },
-                    }],
-                );
+        if t.is_multiple_of(16) {
+            let i = cx.rng.below(ACCOUNTS as u64) as usize;
+            let s = self.shard[i];
+            if let Some(li) = cx.leader(s) {
+                let cmd = KvCommand {
+                    client: NOISE_CLIENT,
+                    seq: cx.issue(s, NOISE_CLIENT),
+                    op: KvOp::Add {
+                        key: self.accounts[i].clone(),
+                        delta: 0,
+                    },
+                };
+                let _ = cx.nodes[li].submit_batch(s, [cmd]);
             }
         }
-        step(
-            t,
-            &mut nodes,
-            &mut coords,
-            &mut net,
-            &crashed,
-            &mut applied_seen,
-            &mut outcomes,
-        )?;
     }
 
-    // Forced heal: links back, crashed nodes restart (with fresh
-    // coordinators), and any shard halted on a disk fault recovers.
-    for (x, y) in cut.drain(..) {
-        if net.links_mut().set_link(x, y, true) {
-            nodes[(x - 1) as usize].reconnected(y);
-            nodes[(y - 1) as usize].reconnected(x);
-        }
-    }
-    let down: Vec<NodeId> = crashed.drain().collect();
-    for p in down {
-        nodes[(p - 1) as usize].fail_recovery();
-        incarnation[(p - 1) as usize] += 1;
-        coords[(p - 1) as usize] = TxnCoordinator::with_nonce(p, incarnation[(p - 1) as usize]);
-    }
-
-    let mut converged_at = None;
-    for t in 2_301..=12_000u64 {
-        // An armed-but-unfired failpoint can still halt a shard long
-        // after the heal; a supervisor restarting halted processes is
-        // part of the recovery model.
-        if t % 200 == 0 {
-            for n in nodes.iter_mut() {
-                if (0..SHARDS as u32).any(|s| n.shard(s).server_ref().is_halted()) {
-                    n.fail_recovery();
+    fn observe(
+        &mut self,
+        i: usize,
+        node: &mut Node,
+        results: &[(u32, KvResult)],
+        _stats: &mut Counters,
+    ) -> Result<(), Breach> {
+        let coord = &mut self.coords[i].0;
+        coord.observe(node, results);
+        coord.tick(node);
+        for o in coord.take_outcomes() {
+            if let Some(prev) = self.outcomes.insert(o.txn, o.committed) {
+                if prev != o.committed {
+                    return breach(
+                        "verdict-stability",
+                        format!(
+                            "txn {:?} reported committed={prev} then committed={}",
+                            o.txn, o.committed
+                        ),
+                    );
                 }
             }
         }
-        step(
-            t,
-            &mut nodes,
-            &mut coords,
-            &mut net,
-            &crashed,
-            &mut applied_seen,
-            &mut outcomes,
-        )?;
-        if t % 16 == 0
-            && all_shards_converged(&nodes)
-            && no_txn_residue(&nodes)
-            && coords.iter().all(|c| c.in_flight() == 0)
-        {
-            converged_at = Some(t - 2_300);
-            break;
-        }
-    }
-    let Some(converge_ticks) = converged_at else {
-        return Err(format!(
-            "cluster did not converge after heal: {}; residue {}",
-            diagnose(&nodes),
-            residue(&nodes, &coords)
-        ));
-    };
-    stats.converge_ticks = converge_ticks;
-
-    if let Some((shard, _)) = move_plan {
-        if membership_of(&nodes, shard).contains(&JOINER) {
-            stats.migrated_shard = Some(shard);
-        }
+        Ok(())
     }
 
-    // Ground truth: the coordinator shard's replicated decision map.
-    // No recorded decision means the transaction must have had no
-    // effect (prepares never applied, or the scanner aborted them —
-    // either way `no_txn_residue` already proved nothing is staged).
-    let mut fate: HashMap<TxnId, bool> = HashMap::new();
-    for (&txn, &(from, to, _)) in &ledger {
-        let cs = acct_shard[from].min(acct_shard[to]);
-        let members = membership_of(&nodes, cs);
-        let owner = members.first().copied().unwrap_or(1);
-        let committed = nodes[(owner - 1) as usize]
-            .shard(cs)
-            .state_machine()
-            .decisions()
-            .get(&txn)
-            .copied()
-            .unwrap_or(false);
-        fate.insert(txn, committed);
-        if committed {
-            stats.committed += 1;
-        } else {
-            stats.aborted += 1;
-        }
+    /// The gateway died with the node: its replacement coordinator starts
+    /// empty, with a fresh incarnation identity, and the survivors'
+    /// scanners own whatever it abandoned.
+    fn recovered(&mut self, pid: NodeId) {
+        let (coord, incarnation) = &mut self.coords[(pid - 1) as usize];
+        *incarnation += 1;
+        *coord = TxnCoordinator::with_nonce(pid, *incarnation);
     }
 
-    // A verdict a coordinator reported must match the recorded decision.
-    for (txn, &reported) in &outcomes {
-        if let Some(&decided) = fate.get(txn) {
-            if reported != decided {
-                return Err(format!(
-                    "coordinator lied: txn {txn:?} reported committed={reported}, \
-                     decision log says {decided}"
-                ));
-            }
-        }
-    }
-
-    // Balances must equal opening + exactly the committed transfers, at
-    // every replica of each account's shard — and money is conserved.
-    let mut expected = [OPENING; ACCOUNTS];
-    for (txn, &(from, to, amount)) in &ledger {
-        if fate[txn] {
-            expected[from] -= amount;
-            expected[to] += amount;
-        }
-    }
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        let s = acct_shard[i];
-        for &p in &membership_of(&nodes, s) {
-            let got = nodes[(p - 1) as usize].read_local(&accounts[i]);
-            if got != Some(expected[i]) {
-                return Err(format!(
-                    "balance drift: {} on node {p} is {got:?}, decision log \
-                     implies {} ({} transactions committed)",
-                    accounts[i], expected[i], stats.committed
-                ));
-            }
-        }
-        total += expected[i];
-    }
-    if total != ACCOUNTS as i64 * OPENING {
-        return Err(format!(
-            "money not conserved: accounts sum to {total}, opened with {}",
-            ACCOUNTS as i64 * OPENING
-        ));
-    }
-
-    // Session tables never run ahead of what the noise client issued.
-    for s in 0..SHARDS as u32 {
-        let issued = noise_seq.get(&s).copied().unwrap_or(0);
-        for &p in &membership_of(&nodes, s) {
-            if let Some(e) = nodes[(p - 1) as usize]
-                .shard(s)
-                .state_machine()
-                .sessions()
-                .get(&NOISE_CLIENT)
-            {
-                if e.seq > issued {
-                    return Err(format!(
-                        "shard {s} session table ahead of reality on node {p}: \
-                         noise client at seq {}, only {issued} issued",
-                        e.seq
-                    ));
-                }
-            }
-        }
-    }
-
-    Ok(stats)
-}
-
-/// The membership of shard `s` as the cluster itself reports it (via
-/// the shard's current leader).
-fn membership_of(nodes: &[Node], s: u32) -> Vec<NodeId> {
-    nodes
-        .iter()
-        .find(|n| n.is_leader(s))
-        .map(|n| n.shard(s).server_ref().nodes().to_vec())
-        .unwrap_or_default()
-}
-
-/// Every shard has a leader, routing has converged, and all members of
-/// its (possibly migrated) membership hold identical state machines.
-fn all_shards_converged(nodes: &[Node]) -> bool {
-    for s in 0..SHARDS as u32 {
-        let members = membership_of(nodes, s);
-        if members.is_empty() {
-            return false;
-        }
-        let views: HashSet<NodeId> = members
-            .iter()
-            .map(|&p| nodes[(p - 1) as usize].leader_of(s))
+    /// No staged prepare or lock on any member replica (a donor moved
+    /// out of a shard keeps a frozen replica that may hold stale locks —
+    /// it serves nothing, so it is not consulted), and no coordinator
+    /// still driving a run.
+    fn settled(&self, cx: &Cluster) -> Result<(), String> {
+        let staged: Vec<(u32, NodeId, usize, usize)> = (0..SHARDS as u32)
+            .flat_map(|s| cx.membership(s).into_iter().map(move |p| (s, p)))
+            .map(|(s, p)| {
+                let sm = cx.node(p).shard(s).state_machine();
+                (s, p, sm.prepared().len(), sm.locks().len())
+            })
+            .filter(|&(_, _, prepared, locks)| prepared + locks > 0)
             .collect();
-        if views.len() != 1 || views.contains(&0) {
-            return false;
+        let runs: Vec<usize> = self.coords.iter().map(|(c, _)| c.in_flight()).collect();
+        if staged.is_empty() && runs.iter().all(|&n| n == 0) {
+            return Ok(());
         }
-        let first = nodes[(members[0] - 1) as usize].shard(s).state_machine();
-        if !members[1..]
-            .iter()
-            .all(|&p| nodes[(p - 1) as usize].shard(s).state_machine() == first)
-        {
-            return false;
-        }
+        Err(format!(
+            "residue (shard, node, prepared, locks) {staged:?}, coordinator runs {runs:?}"
+        ))
     }
-    true
-}
 
-/// No staged prepare and no per-key lock on any *member* replica: every
-/// transaction that ever locked a key was driven to commit or abort. A
-/// donor migrated out of a shard keeps a frozen replica that may retain
-/// stale locks forever — it is out of the shard's routing domain and
-/// serves nothing, so it is not consulted.
-fn no_txn_residue(nodes: &[Node]) -> bool {
-    (0..SHARDS as u32).all(|s| {
-        membership_of(nodes, s).iter().all(|&p| {
-            let sm = nodes[(p - 1) as usize].shard(s).state_machine();
-            sm.prepared().is_empty() && sm.locks().is_empty()
-        })
-    })
-}
-
-/// One line per shard for the did-not-converge error.
-fn diagnose(nodes: &[Node]) -> String {
-    (0..SHARDS as u32)
-        .map(|s| {
-            let members = membership_of(nodes, s);
-            let views: Vec<NodeId> = members
-                .iter()
-                .map(|&p| nodes[(p - 1) as usize].leader_of(s))
-                .collect();
-            format!("shard {s}: members {members:?} leader views {views:?}")
-        })
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
-/// Outstanding transaction state (members only) plus stuck coordinator
-/// runs, for the did-not-converge error.
-fn residue(nodes: &[Node], coords: &[TxnCoordinator]) -> String {
-    let mut out = Vec::new();
-    for s in 0..SHARDS as u32 {
-        for &p in &membership_of(nodes, s) {
-            let sm = nodes[(p - 1) as usize].shard(s).state_machine();
-            if !sm.prepared().is_empty() || !sm.locks().is_empty() {
-                out.push(format!(
-                    "node {p} shard {s}: {} prepared, {} locks",
-                    sm.prepared().len(),
-                    sm.locks().len()
-                ));
+    fn audit(&mut self, cx: &mut Cluster) -> Result<(), Breach> {
+        // Ground truth: the coordinator shard's replicated decision map.
+        // No recorded decision means the transaction had no effect
+        // (`settled` already proved nothing is staged).
+        let mut expected = [OPENING; ACCOUNTS];
+        for (txn, &(from, to, amount)) in &self.ledger {
+            let cs = self.shard[from].min(self.shard[to]);
+            let owner = cx.membership(cs).first().copied().unwrap_or(1);
+            let sm = cx.node(owner).shard(cs).state_machine();
+            let committed = sm.decisions().get(txn).copied().unwrap_or(false);
+            if let Some(&reported) = self.outcomes.get(txn) {
+                if reported != committed {
+                    return breach(
+                        "txn-verdict",
+                        format!(
+                            "coordinator lied: txn {txn:?} reported committed={reported}, \
+                             decision log says {committed}"
+                        ),
+                    );
+                }
+            }
+            if committed {
+                cx.stats.add("committed", 1);
+                expected[from] -= amount;
+                expected[to] += amount;
+            } else if amount == OVERDRAWN {
+                cx.stats.add("aborted_overdrawn", 1);
+            } else {
+                cx.stats.add("aborted_other", 1);
             }
         }
-    }
-    for (i, c) in coords.iter().enumerate() {
-        if c.in_flight() > 0 {
-            out.push(format!(
-                "coordinator {} driving {} runs",
-                i + 1,
-                c.in_flight()
-            ));
+        for (i, &want) in expected.iter().enumerate() {
+            for p in cx.membership(self.shard[i]) {
+                let got = self.balance(cx, p, i);
+                if got != Some(want) {
+                    return breach(
+                        "balances",
+                        format!(
+                            "{} on node {p} is {got:?}, the decision log implies {want} \
+                             ({} transactions committed)",
+                            self.accounts[i],
+                            cx.stats.get("committed")
+                        ),
+                    );
+                }
+            }
         }
-    }
-    if out.is_empty() {
-        "none".into()
-    } else {
-        out.join("; ")
+        let total: i64 = expected.iter().sum();
+        if total != ACCOUNTS as i64 * OPENING {
+            return breach(
+                "conservation",
+                format!(
+                    "accounts sum to {total}, opened with {}",
+                    ACCOUNTS as i64 * OPENING
+                ),
+            );
+        }
+        Ok(())
     }
 }

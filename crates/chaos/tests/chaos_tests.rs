@@ -1,10 +1,14 @@
-//! Integration tests for the chaos harness itself: determinism, the
+//! Integration tests for the chaos drivers themselves: replay, the
 //! injected-bug regression (the harness must catch a broken protocol), the
-//! schedule minimizer, and clean sweeps across every protocol.
+//! schedule minimizer, and clean sweeps across every protocol and kv
+//! workload.
 
+use chaos::driver::{self, Cluster, Shape, Workload};
 use chaos::harness::{run, run_schedule, Bug, ChaosConfig};
 use chaos::minimize::minimize;
-use chaos::schedule::{Fault, ScheduledFault};
+use chaos::monitor::Breach;
+use chaos::schedule::{generate_kv, Fault, ScheduledFault};
+use chaos::KV_WORKLOADS;
 use cluster::protocol::ProtocolKind;
 use omnipaxos::StorageFaultKind;
 
@@ -105,7 +109,9 @@ fn minimizer_shrinks_a_failing_schedule() {
     cfg.bug = Some(Bug::AckBeforePersist);
     let report = run(&cfg);
     assert!(report.violation.is_some(), "seed 7 must fail under the bug");
-    let reduced = minimize(&cfg, &report.schedule);
+    let reduced = minimize(&report.schedule, |s| {
+        run_schedule(&cfg, s).violation.is_some()
+    });
     assert!(reduced.len() <= report.schedule.len());
     assert!(
         run_schedule(&cfg, &reduced).violation.is_some(),
@@ -296,34 +302,125 @@ fn disk_runs_are_deterministic() {
     assert_eq!(format!("{:?}", a.trace), format!("{:?}", b.trace));
 }
 
+/// Every run replays: three runs of the same case in one process give
+/// identical statistics and trace fingerprints. Peers or transactions
+/// iterated in hash order would make these differ from run to run.
+#[test]
+fn every_run_replays() {
+    let mut cases: Vec<(String, Box<dyn Fn() -> String>)> = Vec::new();
+    for w in KV_WORKLOADS {
+        for seed in 1..=4 {
+            cases.push((
+                format!("{} seed {seed}", w.name),
+                Box::new(move || {
+                    let r = w.run(seed);
+                    assert_eq!(r.violation, None, "{} seed {seed}", w.name);
+                    format!("{} {:016x}", r.stats, r.fingerprint)
+                }),
+            ));
+        }
+    }
+    cases.push((
+        "Omni-Paxos harness seed 13".into(),
+        Box::new(|| {
+            let r = run(&ChaosConfig::new(ProtocolKind::OmniPaxos, 13));
+            format!("{} {:016x}", r.stats, r.fingerprint)
+        }),
+    ));
+    for (name, case) in &cases {
+        let first = case();
+        for _ in 0..2 {
+            assert_eq!(case(), first, "{name} does not replay");
+        }
+    }
+}
+
 #[test]
 fn kv_store_sessions_survive_chaos() {
-    let stats = chaos::run_kv_chaos(11).expect("kv chaos must pass");
-    assert!(stats.applied > 0, "the run must actually apply commands");
-    assert!(stats.duplicates > 0, "the run must actually inject retries");
+    let report = KV_WORKLOADS[0].run(11);
+    assert_eq!(report.violation, None, "{:?}", report.violation);
+    let stats = report.stats;
+    assert!(
+        stats.get("applied") > 0,
+        "the run must actually apply commands"
+    );
+    assert!(
+        stats.get("retries") > 0,
+        "the run must actually inject retries"
+    );
 }
 
 /// Cross-shard 2PC bank transfers survive chaos: balances match the
 /// replicated decision log, money is conserved, and no prepare lock
-/// outlives the heal. (The nightly job runs the 300-seed version; seed
+/// outlives the heal. (The nightly job runs the 500-seed version; seed
 /// 2 also migrates a shard mid-traffic.)
 #[test]
 fn cross_shard_txns_survive_chaos() {
     for seed in [1, 2] {
-        let stats = chaos::run_txn_chaos(seed).expect("txn chaos must pass");
-        assert!(stats.committed > 0, "seed {seed}: some transfers commit");
-        assert!(stats.aborted > 0, "seed {seed}: some transfers abort");
+        let report = KV_WORKLOADS[5].run(seed);
+        assert_eq!(report.violation, None, "seed {seed}");
+        let stats = report.stats;
         assert!(
-            stats.cross_shard > 0,
+            stats.get("committed") > 0,
+            "seed {seed}: some transfers commit"
+        );
+        assert!(
+            stats.get("aborted_overdrawn") + stats.get("aborted_other") > 0,
+            "seed {seed}: some transfers abort"
+        );
+        assert!(
+            stats.get("cross_shard") > 0,
             "seed {seed}: workload must span shards"
         );
     }
 }
 
-/// Txn chaos runs are deterministic: same seed, same statistics.
+/// A test-only workload whose audit fails iff node 2 was ever down.
+#[derive(Default)]
+struct FailsIfNodeTwoCrashed {
+    crashed: bool,
+}
+
+impl Workload for FailsIfNodeTwoCrashed {
+    fn shape(&self) -> Shape {
+        Shape {
+            shards: 1,
+            compact: true,
+            disk: false,
+        }
+    }
+
+    fn traffic(&mut self, _t: u64, cx: &mut Cluster) {
+        self.crashed |= !cx.live(1);
+    }
+
+    fn audit(&mut self, _cx: &mut Cluster) -> Result<(), Breach> {
+        if !self.crashed {
+            return Ok(());
+        }
+        Err(Breach {
+            invariant: "node-2-crashed",
+            detail: "node 2 was down during the fault phase".into(),
+        })
+    }
+}
+
+/// The kv driver reports a workload's violation, and a failing kv
+/// schedule minimizes like a protocol one: to a single `Crash(2)`.
 #[test]
-fn txn_chaos_is_deterministic() {
-    let a = chaos::run_txn_chaos(5).expect("seed 5 passes");
-    let b = chaos::run_txn_chaos(5).expect("seed 5 passes");
-    assert_eq!(a, b);
+fn kv_failures_minimize() {
+    let (seed, schedule) = (1..)
+        .map(|seed| (seed, generate_kv(seed, 3, driver::FAULT_TICKS, true, false)))
+        .find(|(_, s)| s.len() >= 8 && s.iter().any(|f| f.fault == Fault::Crash(2)))
+        .expect("some seed crashes node 2");
+    let fails = |s: &[ScheduledFault]| {
+        let report = driver::run(Box::new(FailsIfNodeTwoCrashed::default()), seed, s);
+        report.violation.is_some()
+    };
+    let report = driver::run(Box::new(FailsIfNodeTwoCrashed::default()), seed, &schedule);
+    let v = report.violation.expect("the driver must report the audit");
+    assert_eq!(v.invariant, "node-2-crashed");
+    let reduced = minimize(&schedule, fails);
+    let faults: Vec<&Fault> = reduced.iter().map(|f| &f.fault).collect();
+    assert_eq!(faults, [&Fault::Crash(2)], "from {} faults", schedule.len());
 }

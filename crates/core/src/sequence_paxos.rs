@@ -842,12 +842,13 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
                 // Re-announce in-flight snapshot transfers: a lost chunk or
                 // ack stalls the self-clocked stream; the meta makes the
                 // follower re-ack its progress and resume from there.
-                let xfers: Vec<(NodeId, u64, u64)> = self
+                let mut xfers: Vec<(NodeId, u64, u64)> = self
                     .leader_state
                     .snap_xfers
                     .iter()
                     .map(|(&p, x)| (p, x.idx, x.data.len() as u64))
                     .collect();
+                xfers.sort_unstable();
                 for (pid, idx, total_bytes) in xfers {
                     self.send(
                         pid,
@@ -923,6 +924,7 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
             self.leader_state.promises.remove(&from);
             self.leader_state.accepted.remove(&from);
             self.leader_state.snap_xfers.remove(&from);
+            self.leader_state.sent_idx.remove(&from);
             self.send(
                 from,
                 PaxosMsg::Prepare(Prepare {
@@ -1095,13 +1097,14 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
         self.leader_state.accept_base = log_len;
         self.state = (Role::Leader, Phase::Accept);
         // Synchronize every promised follower.
-        let followers: Vec<(NodeId, PromiseMeta)> = self
+        let mut followers: Vec<(NodeId, PromiseMeta)> = self
             .leader_state
             .promises
             .iter()
             .filter(|(&p, _)| p != self.config.pid)
             .map(|(&p, &m)| (p, m))
             .collect();
+        followers.sort_unstable_by_key(|&(p, _)| p);
         for (pid, meta) in followers {
             self.sync_follower(pid, meta);
         }
@@ -1195,7 +1198,14 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
     }
 
     fn handle_accept_sync(&mut self, acc: AcceptSync<T>, from: NodeId) {
-        if self.storage.get_promise() != acc.n || self.state != (Role::Follower, Phase::Prepare) {
+        // A follower already in the Accept phase of this round still takes
+        // the sync: a duplicated Prepare (a recovery and a reconnect both
+        // asking) makes it promise twice, and the leader answers each
+        // promise with a sync. FIFO links deliver them in order, each the
+        // leader's log as of its sending, so applying the later one only
+        // extends the log; dropping it would leave the follower short of
+        // where the leader streams from, for good.
+        if self.storage.get_promise() != acc.n || self.state.0 != Role::Follower {
             return;
         }
         let res = self.storage.set_accepted_round(acc.n);
@@ -1204,15 +1214,25 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
         }
         // A log sync supersedes any half-finished snapshot transfer.
         self.incoming_snap = None;
-        // Everything from `sync_idx` on is replaced by `suffix`, so the
-        // stop-sign scan only needs to cover the new suffix — not the
-        // whole log as a full rescan would.
-        self.update_stopsign_after_overwrite(acc.sync_idx, &acc.suffix);
-        let res = self
-            .storage
-            .append_on_prefix(acc.sync_idx, take_entries(acc.suffix, 0));
-        if self.guard(res).is_none() {
-            return;
+        // In the Prepare phase `sync_idx` is at least the decided index we
+        // promised with. A late sync reaching us in the Accept phase
+        // answers an earlier promise, so its `sync_idx` may lie below what
+        // we have decided (and perhaps compacted) since: as for a
+        // retransmitted batch, skip that part — never rewrite the decided
+        // prefix — and apply only what is fresh.
+        let start = acc.sync_idx.max(self.storage.get_decided_idx());
+        let skip = (start - acc.sync_idx) as usize;
+        if skip == 0 || skip < acc.suffix.len() {
+            // Everything from `start` on is replaced by the rest of the
+            // suffix, so the stop-sign scan only needs to cover that — not
+            // the whole log as a full rescan would.
+            self.update_stopsign_after_overwrite(start, &acc.suffix[skip..]);
+            let res = self
+                .storage
+                .append_on_prefix(start, take_entries(acc.suffix, skip));
+            if self.guard(res).is_none() {
+                return;
+            }
         }
         let log_len = self.storage.get_log_len();
         let decided = acc.decided_idx.min(log_len);
@@ -1487,16 +1507,12 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
         let n = self.leader_state.n;
         let log_len = self.storage.get_log_len();
         let decided_idx = self.storage.get_decided_idx();
-        let followers: Vec<NodeId> = self
-            .leader_state
-            .promises
-            .keys()
-            .copied()
-            .filter(|&p| p != self.config.pid)
-            .collect();
-        for pid in followers {
+        // Peers in config order, so every run sends in the same order.
+        for k in 0..self.config.peers.len() {
+            let pid = self.config.peers[k];
             // Only stream to followers that have completed AcceptSync
-            // (sent_idx is set by sync_follower).
+            // (sent_idx is set by sync_follower, and only for promised
+            // followers).
             let Some(&sent) = self.leader_state.sent_idx.get(&pid) else {
                 continue;
             };
@@ -1975,6 +1991,72 @@ mod tests {
         leader.handle_message(Message::with(2, 1, PaxosMsg::PrepareReq));
         let out = drain(&mut leader);
         assert!(out.contains(&(2, "Prepare")), "leader re-prepares: {out:?}");
+    }
+
+    #[test]
+    fn duplicated_prepare_still_syncs_the_follower() {
+        let mut leader = replica(1);
+        let mut f2 = replica(2);
+        leader.handle_leader(ballot(1, 1));
+        deliver(&mut leader, &mut f2);
+        deliver(&mut f2, &mut leader);
+        deliver(&mut leader, &mut f2);
+        // f2 asks twice (say, a recovery and a reconnect): two Prepares,
+        // two promises, and the leader's log grows between them.
+        leader.handle_message(Message::with(2, 1, PaxosMsg::PrepareReq));
+        leader.handle_message(Message::with(2, 1, PaxosMsg::PrepareReq));
+        deliver(&mut leader, &mut f2);
+        let mut promises =
+            (f2.outgoing_messages().into_iter()).filter(|m| m.msg.tag() == "Promise");
+        leader.handle_message(promises.next().expect("first promise"));
+        leader.append(1).unwrap();
+        leader.append(2).unwrap();
+        for m in promises {
+            leader.handle_message(m);
+        }
+        // The second sync reaches f2 in the Accept phase and still counts.
+        deliver(&mut leader, &mut f2);
+        assert_eq!(f2.state(), (Role::Follower, Phase::Accept));
+        assert_eq!(f2.log_len(), leader.log_len());
+        leader.append(3).unwrap();
+        deliver(&mut leader, &mut f2);
+        assert_eq!(f2.log_len(), leader.log_len());
+    }
+
+    #[test]
+    fn late_sync_never_rewrites_the_decided_prefix() {
+        let mut leader = replica(1);
+        let mut f2 = replica(2);
+        leader.handle_leader(ballot(1, 1));
+        deliver(&mut leader, &mut f2);
+        deliver(&mut f2, &mut leader);
+        deliver(&mut leader, &mut f2);
+        // Two promises at log index 0; the first is answered at once.
+        leader.handle_message(Message::with(2, 1, PaxosMsg::PrepareReq));
+        leader.handle_message(Message::with(2, 1, PaxosMsg::PrepareReq));
+        deliver(&mut leader, &mut f2);
+        let mut promises =
+            (f2.outgoing_messages().into_iter()).filter(|m| m.msg.tag() == "Promise");
+        leader.handle_message(promises.next().expect("first promise"));
+        // f2 syncs, accepts [1, 2], learns them decided and compacts them
+        // away before the second sync (still from index 0) arrives.
+        leader.append(1).unwrap();
+        leader.append(2).unwrap();
+        deliver(&mut leader, &mut f2);
+        deliver(&mut f2, &mut leader);
+        deliver(&mut leader, &mut f2);
+        assert_eq!(f2.decided_idx(), 2);
+        f2.compact(2, vec![7u8].into()).unwrap();
+        for m in promises {
+            leader.handle_message(m);
+        }
+        deliver(&mut leader, &mut f2);
+        assert_eq!(f2.state(), (Role::Follower, Phase::Accept));
+        assert_eq!((f2.log_len(), f2.decided_idx()), (2, 2));
+        assert_eq!(f2.compacted_idx(), 2);
+        leader.append(3).unwrap();
+        deliver(&mut leader, &mut f2);
+        assert_eq!(f2.log_len(), leader.log_len());
     }
 
     #[test]

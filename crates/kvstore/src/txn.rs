@@ -123,7 +123,7 @@ pub struct TxnCoordinator {
     client: u64,
     next_seq: u64,
     ticks: u64,
-    runs: HashMap<TxnId, Run>,
+    runs: BTreeMap<TxnId, Run>,
     pending: HashMap<u64, Pending>,
     outcomes: Vec<TxnOutcome>,
     next_scan: u64,
@@ -152,7 +152,7 @@ impl TxnCoordinator {
             client: TXN_CLIENT_FLAG | ((nonce as u64 & 0x3FFF_FFFF) << 32) | (pid & 0xFFFF_FFFF),
             next_seq: 1,
             ticks: 0,
-            runs: HashMap::new(),
+            runs: BTreeMap::new(),
             pending: HashMap::new(),
             outcomes: Vec::new(),
             next_scan: SCAN_EVERY_TICKS,

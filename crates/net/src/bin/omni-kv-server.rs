@@ -18,7 +18,8 @@ use omnipaxos::service::ServerConfig;
 use omnipaxos::ServiceMsg;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::str::FromStr;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,6 +30,13 @@ fn usage() -> ! {
          [--lease-ticks <n>] [--lease-epsilon <n>]"
     );
     std::process::exit(2)
+}
+
+/// The value after a numeric flag; a missing or malformed value is a
+/// usage error, never a silent default (a mistyped `--shards` would
+/// misroute the cluster, a mistyped `--lease-ticks` turn leases off).
+fn num<T: FromStr>(v: Option<&String>) -> T {
+    v.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
 }
 
 fn parse_peers(spec: &str) -> Option<HashMap<NodeId, SocketAddr>> {
@@ -59,19 +67,18 @@ fn main() {
             "--pid" => pid = it.next().and_then(|v| v.parse().ok()),
             "--peers" => peers = it.next().and_then(|v| parse_peers(v)),
             "--client-addr" => client_addr = it.next().and_then(|v| v.parse().ok()),
-            "--tick-ms" => tick_ms = it.next().and_then(|v| v.parse().ok()).unwrap_or(10),
+            "--tick-ms" => tick_ms = num(it.next()),
             "--joiner" => joiner = true,
-            "--shards" => shards = it.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--lease-ticks" => lease_ticks = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--lease-epsilon" => {
-                lease_epsilon = it.next().and_then(|v| v.parse().ok()).unwrap_or(2)
-            }
+            "--shards" => shards = num(it.next()),
+            "--lease-ticks" => lease_ticks = num(it.next()),
+            "--lease-epsilon" => lease_epsilon = num(it.next()),
             _ => usage(),
         }
     }
-    if shards == 0 {
-        eprintln!("error: --shards must be at least 1");
-        std::process::exit(2);
+    if shards == 0 || tick_ms == 0 {
+        // Zero shards route nothing; a zero tick busy-spins the loop.
+        eprintln!("error: --shards and --tick-ms must be at least 1");
+        usage();
     }
     let (Some(pid), Some(peers), Some(client_addr)) = (pid, peers, client_addr) else {
         usage()
@@ -124,6 +131,5 @@ fn main() {
     // Run until killed; a SIGINT handler would need a dependency, so the
     // process relies on the OS to tear sockets down.
     let server = KvServer::new_sharded(node, transport).with_gateway(gateway);
-    let _ = stop.load(Ordering::SeqCst);
     server.run(Duration::from_millis(tick_ms), stop);
 }

@@ -51,8 +51,24 @@ stage_net() {
 }
 
 stage_chaos() {
-    echo "==> [chaos] quick deterministic chaos gate (all protocols + kv store)"
-    cargo run --release -q -p chaos -- --quick
+    # Twice, in two processes: every run must replay, so the two outputs
+    # may differ in their timing column only.
+    echo "==> [chaos] quick deterministic chaos gate (all protocols + kv workloads), run twice"
+    first=$(mktemp)
+    second=$(mktemp)
+    rc=0
+    cargo run --release -q -p chaos -- --quick --kv-seeds 25 > "$first" || rc=1
+    cat "$first"
+    cargo run --release -q -p chaos -- --quick --kv-seeds 25 > "$second" || rc=1
+    untimed='s/ +[0-9]+[.][0-9]+s( total)?$//'
+    sed -E "$untimed" "$first" > "$first.untimed"
+    sed -E "$untimed" "$second" > "$second.untimed"
+    if ! diff "$first.untimed" "$second.untimed"; then
+        echo "chaos: two processes printed different results -- a run does not replay" >&2
+        rc=1
+    fi
+    rm -f "$first" "$second" "$first.untimed" "$second.untimed"
+    return "$rc"
 }
 
 stage_shard() {
