@@ -350,7 +350,7 @@ fn bench_wal_group_commit(quick: bool) -> (u64, u64, f64, f64) {
 /// back linearizably, and the three replicas (session tables included)
 /// must converge to identical states. Written to `BENCH_PR6.json`.
 fn run_net_loopback(quick: bool) {
-    use kvstore::{KvCommand, KvNode, KvOp};
+    use kvstore::{KvCommand, KvNode, KvOp, ShardedKvNode};
     use net::server::{ClientGateway, KvServer};
     use net::tcp::{TcpConfig, TcpTransport};
     use net::{KvClient, NetworkLink, PipelinedKvClient};
@@ -387,8 +387,8 @@ fn run_net_loopback(quick: bool) {
         let gateway =
             ClientGateway::bind(TcpListener::bind("127.0.0.1:0").unwrap()).expect("gateway");
         client_addrs.push((pid, gateway.local_addr()));
-        let server =
-            KvServer::new(KvNode::new(pid, vec![1, 2, 3]), transport).with_gateway(gateway);
+        let node = ShardedKvNode::from_shards(vec![KvNode::new(pid, vec![1, 2, 3])]);
+        let server = KvServer::new_sharded(node, transport).with_gateway(gateway);
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
             server.run(Duration::from_millis(3), stop)

@@ -154,16 +154,6 @@ impl ShardedKvNode {
             ble: BleCoalescer::new(),
         }
     }
-
-    /// Wrap a single unsharded node (shard count 1, group 0): the
-    /// compatibility path for existing single-group deployments.
-    pub fn from_single(node: KvNode) -> Self {
-        ShardedKvNode {
-            pid: node.pid(),
-            shards: vec![node],
-            ble: BleCoalescer::new(),
-        }
-    }
 }
 
 impl<S: Storage<KvCommand>> ShardedKvNode<S> {

@@ -15,9 +15,10 @@
 //!
 //! `cas` takes `nil` for either value: `cas k nil 5` inserts iff absent,
 //! `cas k 5 nil` deletes iff currently 5. `transfer` routes same-shard
-//! pairs through the atomic single-entry op and cross-shard pairs through
-//! the 2PC transaction path; either way it prints the commit verdict and
-//! the transaction id usable with `txn-status`.
+//! pairs through the atomic single-entry op, which prints
+//! `ok applied=<verdict>`, and cross-shard pairs through the 2PC
+//! transaction path, which prints the verdict and the transaction id
+//! (`txn=<client>:<seq>`) that `txn-status <client> <seq>` takes.
 
 use kvstore::{KvOp, NodeId, ReadMode, TxnSpec};
 use net::client::{KvClient, PipelinedKvClient};
@@ -87,8 +88,7 @@ fn main() {
     if let Some(d) = deadline {
         // Overall per-op deadline: retries and redirects keep going until
         // it lapses, then the op fails with a timeout error.
-        client.op_timeout = d;
-        client.attempt_timeout = client.attempt_timeout.min(d);
+        client.set_timeout(d);
     }
 
     let result = match rest.as_slice() {

@@ -1,16 +1,19 @@
-//! A kv client that survives redirects, restarts, and partitions.
+//! Kv clients that survive redirects, restarts, and partitions.
 //!
-//! One synchronous request at a time: send `Request`, wait for the
-//! matching `Reply`. On `Redirect` it re-targets the named leader; on
-//! `Retry` or any socket trouble it backs off, rotates servers, and
-//! resends the *same* `(client, seq)` — the server-side session table
-//! dedups, so writes stay exactly-once no matter how many times the
-//! client retries (paper §7.2's client behavior under partitions).
+//! [`PipelinedKvClient`] keeps a window of requests in flight on one
+//! connection. On `Redirect` it re-targets the named leader; on `Retry` it
+//! backs off and resends; on socket trouble or a mute server it rotates
+//! servers and resends its whole window — always under the *same*
+//! `(client, seq)`, so the server-side session table dedups and writes
+//! stay exactly-once however many times they are resent (paper §7.2's
+//! client behavior under partitions). [`KvClient`] is that client at
+//! window 1: each call submits one request and waits for its answer.
+//! [`ShardedKvClient`] runs one such session per shard.
 //!
 //! Reads need one extra rule: a deduplicated `Read` comes back with
 //! `applied: false` and no value (the state machine refuses to re-run
-//! even a read). Reads are idempotent, so the client simply bumps the
-//! sequence number and issues a fresh one.
+//! even a read). Reads are idempotent, so the client reissues one under a
+//! fresh token and reports it under the token the caller got.
 
 use crate::frame::{self, kind, FrameReader};
 use kvstore::{KvCommand, KvOp, KvResult, KvWire, NodeId, ReadMode, TxnSpec, TxnState};
@@ -36,40 +39,30 @@ pub const READ_FLAG: u64 = 1 << 63;
 /// or leave a gap in, the contiguous write session.
 pub const TXN_FLAG: u64 = 1 << 62;
 
-/// Pause after a redirect before trying the named leader: mid-election the
-/// hint may point at a node that has not taken over yet, and no event
-/// tells a client when it has.
-const REDIRECT_PAUSE: Duration = Duration::from_millis(20);
-/// Backoff after `Retry` (the server is shedding load) or a socket error
-/// (the server may be down): retrying at once only adds to either.
-const RETRY_PAUSE: Duration = Duration::from_millis(50);
+/// How long [`KvClient`] waits on a silent server before rotating to the
+/// next one.
+const ATTEMPT_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// A closed-loop kv client: one request at a time, each call returning
+/// once its request is decided. It is a [`PipelinedKvClient`] at window 1
+/// and recovers by the same rules.
 pub struct KvClient {
-    servers: Vec<(NodeId, SocketAddr)>,
-    current: usize,
-    stream: Option<TcpStream>,
-    client_id: u64,
-    seq: u64,
-    read_seq: u64,
-    /// Per-attempt reply wait before rotating to another server.
-    pub attempt_timeout: Duration,
-    /// Overall per-operation deadline.
-    pub op_timeout: Duration,
+    pipe: PipelinedKvClient,
 }
 
 impl KvClient {
     pub fn new(client_id: u64, servers: Vec<(NodeId, SocketAddr)>) -> Self {
-        assert!(!servers.is_empty(), "need at least one server");
-        KvClient {
-            servers,
-            current: 0,
-            stream: None,
-            client_id,
-            seq: 0,
-            read_seq: 0,
-            attempt_timeout: Duration::from_millis(500),
-            op_timeout: Duration::from_secs(20),
-        }
+        let mut pipe = PipelinedKvClient::new(client_id, servers);
+        pipe.rotate_after = ATTEMPT_TIMEOUT;
+        KvClient { pipe }
+    }
+
+    /// Give each call up to `timeout` (default 20 s) before it fails with
+    /// `TimedOut`; a server silent for `min(timeout, 500 ms)` is left for
+    /// the next one.
+    pub fn set_timeout(&mut self, timeout: Duration) {
+        self.pipe.op_timeout = timeout;
+        self.pipe.rotate_after = ATTEMPT_TIMEOUT.min(timeout);
     }
 
     pub fn put(&mut self, key: &str, value: i64) -> std::io::Result<KvResult> {
@@ -114,69 +107,34 @@ impl KvClient {
     /// matter how many times (or at which gateway) the request lands.
     /// The reply's `seq` is the [`TXN_FLAG`]-tagged token — pass it to
     /// [`KvClient::txn_status`] to query the transaction later.
-    pub fn txn(&mut self, spec: kvstore::TxnSpec) -> std::io::Result<KvResult> {
-        self.seq += 1;
-        let token = TXN_FLAG | self.seq;
-        let deadline = Instant::now() + self.op_timeout;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    format!("txn not decided within {:?}", self.op_timeout),
-                ));
-            }
-            let msg = KvWire::TxnRequest {
-                client: self.client_id,
-                seq: token,
-                spec: spec.clone(),
-            };
-            match self.attempt_msg(&msg) {
-                Ok(KvWire::Reply(res)) if res.seq == token => return Ok(res),
-                Ok(KvWire::Redirect { leader }) | Ok(KvWire::ShardRedirect { leader, .. }) => {
-                    self.retarget(leader);
-                    std::thread::sleep(REDIRECT_PAUSE);
-                }
-                Ok(_) => {} // stale frame: resend
-                Err(_) => {
-                    self.stream = None;
-                    self.rotate();
-                    std::thread::sleep(RETRY_PAUSE);
-                }
-            }
-        }
+    pub fn txn(&mut self, spec: TxnSpec) -> std::io::Result<KvResult> {
+        let token = self.pipe.submit_txn(spec);
+        self.complete(token)
     }
 
-    /// Ask the connected server for its view of transaction
+    /// Ask the first server that answers for its view of transaction
     /// `(client, seq)` — `Unknown` on a server that hosts none of the
     /// participant shards.
     pub fn txn_status(&mut self, client: u64, seq: u64) -> std::io::Result<TxnState> {
-        let deadline = Instant::now() + self.op_timeout;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    format!("txn status not answered within {:?}", self.op_timeout),
-                ));
-            }
-            match self.attempt_msg(&KvWire::TxnStatusReq { client, seq }) {
-                Ok(KvWire::TxnStatus {
+        let msg = KvWire::TxnStatusReq { client, seq };
+        ask(
+            &self.pipe.servers,
+            &msg,
+            self.pipe.rotate_after,
+            |m| match m {
+                KvWire::TxnStatus {
                     client: c,
                     seq: s,
                     state,
-                }) if c == client && s == seq => return Ok(state),
-                Ok(_) => {}
-                Err(_) => {
-                    self.stream = None;
-                    self.rotate();
-                    std::thread::sleep(RETRY_PAUSE);
-                }
-            }
-        }
+                } if (c, s) == (client, seq) => Some(state),
+                _ => None,
+            },
+        )
     }
 
     /// Linearizable read through the log.
     pub fn read(&mut self, key: &str) -> std::io::Result<Option<i64>> {
-        self.op(KvOp::Read { key: key.into() }).map(|r| r.value)
+        self.read_with_mode(key, ReadMode::Log)
     }
 
     /// Linearizable read served per `mode`. `Log` is [`KvClient::read`];
@@ -184,164 +142,51 @@ impl KvClient {
     /// if no lease is held); `ReadIndex` serves at whichever replica this
     /// client is connected to — including followers.
     pub fn read_with_mode(&mut self, key: &str, mode: ReadMode) -> std::io::Result<Option<i64>> {
-        if mode == ReadMode::Log {
-            return self.read(key);
-        }
-        self.read_seq += 1;
-        let deadline = Instant::now() + self.op_timeout;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    format!("kv read not served within {:?}", self.op_timeout),
-                ));
-            }
-            let token = READ_FLAG | self.read_seq;
-            match self.attempt_read(mode, token, key) {
-                Ok(KvWire::Reply(res)) if res.seq == token => {
-                    if !res.applied {
-                        // Deadline-expired on the server: fresh token.
-                        self.read_seq += 1;
-                        continue;
-                    }
-                    return Ok(res.value);
-                }
-                Ok(KvWire::Redirect { leader }) | Ok(KvWire::ShardRedirect { leader, .. }) => {
-                    self.retarget(leader);
-                    std::thread::sleep(REDIRECT_PAUSE);
-                }
-                Ok(KvWire::Retry { seq }) if seq == token => {
-                    // The leader holds no lease (still assembling grants,
-                    // or leases disabled): fall through to the log path.
-                    return self.read(key);
-                }
-                Ok(_) => {} // stale frame: resend
-                Err(_) => {
-                    self.stream = None;
-                    self.rotate();
-                    std::thread::sleep(RETRY_PAUSE);
-                }
-            }
-        }
+        self.pipe.read_mode = mode;
+        let token = self.pipe.submit_read(key);
+        self.complete(token).map(|r| r.value)
     }
 
     /// Run one operation to completion (retrying as needed).
     pub fn op(&mut self, op: KvOp) -> std::io::Result<KvResult> {
-        self.seq += 1;
-        let is_read = matches!(op, KvOp::Read { .. });
-        let deadline = Instant::now() + self.op_timeout;
-        loop {
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
+        let token = self.pipe.submit(op);
+        self.complete(token)
+    }
+
+    /// Wait for the answer to `token`. A request that fails is dropped
+    /// from the window, so the next call does not wait behind it.
+    fn complete(&mut self, token: u64) -> std::io::Result<KvResult> {
+        let deadline = Instant::now() + self.pipe.op_timeout;
+        let failure = loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break std::io::Error::new(
                     ErrorKind::TimedOut,
-                    format!("kv op not decided within {:?}", self.op_timeout),
+                    format!("kv request not answered within {:?}", self.pipe.op_timeout),
+                );
+            }
+            match self.pipe.wait(left) {
+                Ok(done) => {
+                    if let Some(res) = done.into_iter().find(|r| r.seq == token) {
+                        return Ok(res);
+                    }
+                }
+                Err(e) => break e,
+            }
+            if self.pipe.take_cross_shard_rejections().contains(&token) {
+                // Terminal: a multi-key op whose keys live on different
+                // shards can never succeed as a plain request — reissue
+                // it as a transaction instead.
+                return Err(std::io::Error::new(
+                    ErrorKind::InvalidInput,
+                    "operation spans shards; use a transaction",
                 ));
             }
-            let cmd = KvCommand {
-                client: self.client_id,
-                seq: self.seq,
-                op: op.clone(),
-            };
-            match self.attempt(cmd) {
-                Ok(KvWire::Reply(res)) if res.seq == self.seq => {
-                    if is_read && !res.applied {
-                        // Deduplicated read: re-issue under a fresh seq.
-                        self.seq += 1;
-                        continue;
-                    }
-                    return Ok(res);
-                }
-                Ok(KvWire::Redirect { leader }) | Ok(KvWire::ShardRedirect { leader, .. }) => {
-                    self.retarget(leader);
-                    std::thread::sleep(REDIRECT_PAUSE);
-                }
-                Ok(KvWire::Retry { .. }) => std::thread::sleep(RETRY_PAUSE),
-                Ok(KvWire::CrossShard { seq }) if seq == self.seq => {
-                    // Terminal: a multi-key op whose keys live on
-                    // different shards can never succeed as a plain
-                    // request — reissue it as a transaction instead.
-                    return Err(std::io::Error::new(
-                        ErrorKind::InvalidInput,
-                        "operation spans shards; use a transaction",
-                    ));
-                }
-                Ok(_) => {} // stale reply for an older seq: resend
-                Err(_) => {
-                    self.stream = None;
-                    self.rotate();
-                    std::thread::sleep(RETRY_PAUSE);
-                }
-            }
-        }
-    }
-
-    /// The sequence number of the last issued operation.
-    pub fn last_seq(&self) -> u64 {
-        self.seq
-    }
-
-    fn retarget(&mut self, leader: NodeId) {
-        match self.servers.iter().position(|(pid, _)| *pid == leader) {
-            Some(i) if i != self.current => {
-                self.current = i;
-                self.stream = None;
-            }
-            Some(_) => {} // already there; the leader may still be settling
-            None => self.rotate(),
-        }
-    }
-
-    fn rotate(&mut self) {
-        self.current = (self.current + 1) % self.servers.len();
-        self.stream = None;
-    }
-
-    fn ensure_stream(&mut self) -> std::io::Result<&TcpStream> {
-        if self.stream.is_none() {
-            let addr = self.servers[self.current].1;
-            let s = TcpStream::connect_timeout(&addr, Duration::from_millis(500))?;
-            s.set_nodelay(true)?;
-            self.stream = Some(s);
-        }
-        Ok(self.stream.as_ref().unwrap())
-    }
-
-    /// One send + one reply attempt against the current server.
-    fn attempt(&mut self, cmd: KvCommand) -> std::io::Result<KvWire> {
-        let msg = KvWire::Request(cmd);
-        self.attempt_msg(&msg)
-    }
-
-    /// One log-free read attempt against the current server.
-    fn attempt_read(&mut self, mode: ReadMode, token: u64, key: &str) -> std::io::Result<KvWire> {
-        let msg = KvWire::ReadRequest {
-            mode,
-            client: READ_FLAG | self.client_id,
-            seq: token,
-            key: key.into(),
         };
-        self.attempt_msg(&msg)
-    }
-
-    fn attempt_msg(&mut self, msg: &KvWire) -> std::io::Result<KvWire> {
-        let timeout = self.attempt_timeout;
-        let stream = self.ensure_stream()?;
-        stream.set_read_timeout(Some(timeout))?;
-        let payload = msg.to_bytes();
-        let mut w = stream;
-        frame::write_frame(&mut w, kind::KV, &payload)?;
-        let mut r = stream;
-        loop {
-            let f = frame::read_frame(&mut r)
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-            if f.kind != kind::KV {
-                continue;
-            }
-            match KvWire::from_bytes(&f.payload) {
-                Ok(msg) => return Ok(msg),
-                Err(_) => continue,
-            }
-        }
+        self.pipe.window.clear();
+        self.pipe.unsent.clear();
+        self.pipe.alias.clear();
+        Err(failure)
     }
 }
 
@@ -366,50 +211,54 @@ impl Drop for PipeConn {
     }
 }
 
-/// An open-loop kv client: many requests in flight at once, windowed by
-/// sequence number, with out-of-order completion.
+/// One request in a [`PipelinedKvClient`]'s window.
+enum Req {
+    /// A write-session command, a log-path read marker included.
+    Write(KvOp),
+    /// A log-free read of this key, served per the client's `read_mode`.
+    Read(String),
+    Txn(TxnSpec),
+}
+
+/// An open-loop kv client: many requests in flight at once, with
+/// out-of-order completion.
 ///
-/// Where [`KvClient`] runs send→wait→send lockstep (one consensus round
-/// trip per op), this client queues ops with [`PipelinedKvClient::submit`]
-/// and collects completions with [`PipelinedKvClient::pump`] /
-/// [`PipelinedKvClient::wait`]. Queued requests are transmitted as one
-/// coalesced `write_all` in strictly increasing seq order; the server
-/// keeps admission contiguous per client, so retries after shedding,
-/// redirects, or reconnects can never let a later write overtake an
-/// earlier one into the log (which the highest-seq-wins session table
-/// would otherwise drop as a duplicate).
+/// Ops are queued with [`PipelinedKvClient::submit`] (and `submit_read`,
+/// `submit_txn`) and collected with [`PipelinedKvClient::pump`] /
+/// [`PipelinedKvClient::wait`]. Every request is keyed by a token from
+/// one of three identity spaces — write seqs, [`READ_FLAG`]-tagged reads,
+/// [`TXN_FLAG`]-tagged transactions — and queued requests go out as one
+/// coalesced `write_all` in token order, which puts write seqs on the
+/// wire in strictly increasing order. The server keeps admission
+/// contiguous per client, so retries after shedding, redirects, or
+/// reconnects can never let a later write overtake an earlier one into
+/// the log (which the highest-seq-wins session table would otherwise
+/// drop as a duplicate).
 ///
-/// Recovery reuses the closed-loop rules: `Redirect` re-targets the named
-/// leader, `Retry` backs off and retransmits the same `(client, seq)`,
-/// socket trouble rotates servers and retransmits the whole outstanding
-/// window — dedup on the server keeps all of it exactly-once. A
-/// deduplicated `Read` (`applied: false`) is reissued under a fresh seq
-/// and reported to the caller under the seq it originally got.
+/// `Redirect` re-targets the named leader, `Retry` backs off and
+/// retransmits the same `(client, seq)`, socket trouble or a stall
+/// rotates servers and retransmits the whole outstanding window — dedup
+/// on the server keeps all of it exactly-once. A deduplicated `Read`
+/// (`applied: false`) is reissued under a fresh token and reported to the
+/// caller under the token it originally got.
 pub struct PipelinedKvClient {
     servers: Vec<(NodeId, SocketAddr)>,
     current: usize,
     client_id: u64,
-    next_seq: u64,
     conn: Option<PipeConn>,
-    /// Every outstanding op, keyed by seq (BTreeMap ⇒ seq-order walks).
-    inflight: BTreeMap<u64, KvOp>,
-    /// Outstanding seqs awaiting (re)transmission, flushed in seq order.
+    /// Every outstanding request by token (BTreeMap ⇒ token-order walks).
+    window: BTreeMap<u64, Req>,
+    /// Outstanding tokens awaiting (re)transmission, flushed in order.
     unsent: BTreeSet<u64>,
+    /// The last token issued in each identity space.
+    next_seq: u64,
+    next_read: u64,
+    next_txn: u64,
     /// Read mode for [`PipelinedKvClient::submit_read`]. Log-free modes
     /// ride their own [`READ_FLAG`]-tagged identity space so they never
     /// perturb the write session's admission contiguity; `Log` routes
     /// through the ordinary write session.
     pub read_mode: ReadMode,
-    /// Log-free reads in flight: flagged token → key.
-    read_keys: BTreeMap<u64, String>,
-    /// Log-free reads awaiting (re)transmission.
-    read_unsent: BTreeSet<u64>,
-    next_read: u64,
-    /// Transactions in flight: flagged token → spec.
-    txn_specs: BTreeMap<u64, kvstore::TxnSpec>,
-    /// Transactions awaiting (re)transmission.
-    txn_unsent: BTreeSet<u64>,
-    next_txn: u64,
     /// OR-ed into every txn token. The transaction id `(client, token)`
     /// must be globally unique, but a [`ShardedKvClient`] runs one
     /// session per shard under ONE client id, each numbering its txns
@@ -422,7 +271,7 @@ pub struct PipelinedKvClient {
     /// Tokens of ops the gateway rejected as spanning shards (terminal:
     /// such an op can never succeed as a plain request).
     rejected: Vec<u64>,
-    /// Reissued reads: transmitted seq → the seq the caller knows.
+    /// Reissued requests: transmitted token → the token the caller knows.
     alias: HashMap<u64, u64>,
     /// Retransmission backoff gate (set after `Retry` and reconnects).
     gate: Option<Instant>,
@@ -449,17 +298,13 @@ impl PipelinedKvClient {
             servers,
             current: 0,
             client_id,
-            next_seq: 0,
             conn: None,
-            inflight: BTreeMap::new(),
+            window: BTreeMap::new(),
             unsent: BTreeSet::new(),
-            read_mode: ReadMode::Log,
-            read_keys: BTreeMap::new(),
-            read_unsent: BTreeSet::new(),
+            next_seq: 0,
             next_read: 0,
-            txn_specs: BTreeMap::new(),
-            txn_unsent: BTreeSet::new(),
             next_txn: 0,
+            read_mode: ReadMode::Log,
             txn_tag: 0,
             rejected: Vec::new(),
             alias: HashMap::new(),
@@ -478,17 +323,7 @@ impl PipelinedKvClient {
     /// [`PipelinedKvClient::pump`]. Returns the seq completions will
     /// carry.
     pub fn submit(&mut self, op: KvOp) -> u64 {
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        self.inflight.insert(seq, op);
-        self.unsent.insert(seq);
-        if self.in_flight() == 1 {
-            // An empty window has no progress to stall on; start the
-            // clock when it becomes non-empty.
-            self.last_progress = Instant::now();
-            self.next_rotate = Instant::now() + self.rotate_after;
-        }
-        seq
+        self.enqueue(Req::Write(op))
     }
 
     /// Queue a linearizable read of `key` under this client's
@@ -498,18 +333,10 @@ impl PipelinedKvClient {
     /// that finds no leaseholder downgrades to the log path internally
     /// and still completes under its original token.
     pub fn submit_read(&mut self, key: &str) -> u64 {
-        if self.read_mode == ReadMode::Log {
-            return self.submit(KvOp::Read { key: key.into() });
-        }
-        self.next_read += 1;
-        let token = READ_FLAG | self.next_read;
-        self.read_keys.insert(token, key.into());
-        self.read_unsent.insert(token);
-        if self.in_flight() == 1 {
-            self.last_progress = Instant::now();
-            self.next_rotate = Instant::now() + self.rotate_after;
-        }
-        token
+        self.enqueue(match self.read_mode {
+            ReadMode::Log => Req::Write(KvOp::Read { key: key.into() }),
+            _ => Req::Read(key.into()),
+        })
     }
 
     /// Queue a (possibly cross-shard) transaction. Returns the
@@ -517,25 +344,54 @@ impl PipelinedKvClient {
     /// completion's `applied` is the commit verdict (`value` mirrors it
     /// as 1/0). Retransmissions are safe: the coordinator shard's
     /// decision record pins the outcome across retries and gateways.
-    pub fn submit_txn(&mut self, spec: kvstore::TxnSpec) -> u64 {
-        self.next_txn += 1;
-        let token = TXN_FLAG | self.txn_tag | self.next_txn;
-        self.txn_specs.insert(token, spec);
-        self.txn_unsent.insert(token);
-        if self.in_flight() == 1 {
+    pub fn submit_txn(&mut self, spec: TxnSpec) -> u64 {
+        self.enqueue(Req::Txn(spec))
+    }
+
+    /// Queue `req` under the next token of its identity space.
+    fn enqueue(&mut self, req: Req) -> u64 {
+        let token = match req {
+            Req::Write(_) => {
+                self.next_seq += 1;
+                self.next_seq
+            }
+            Req::Read(_) => {
+                self.next_read += 1;
+                READ_FLAG | self.next_read
+            }
+            Req::Txn(_) => {
+                self.next_txn += 1;
+                TXN_FLAG | self.txn_tag | self.next_txn
+            }
+        };
+        self.window.insert(token, req);
+        self.unsent.insert(token);
+        if self.window.len() == 1 {
+            // An empty window has no progress to stall on; start the
+            // clock when it becomes non-empty.
             self.last_progress = Instant::now();
             self.next_rotate = Instant::now() + self.rotate_after;
         }
         token
     }
 
-    /// Ops submitted but not yet completed.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len() + self.read_keys.len() + self.txn_specs.len()
+    /// Queue `req` again under a fresh token, to complete as `orig`.
+    fn reissue(&mut self, orig: u64, req: Req) {
+        let fresh = self.enqueue(req);
+        self.alias.insert(fresh, orig);
     }
 
-    fn window_empty(&self) -> bool {
-        self.inflight.is_empty() && self.read_keys.is_empty() && self.txn_specs.is_empty()
+    /// Pull an answered request out of the window.
+    fn take(&mut self, token: u64) -> Option<Req> {
+        let req = self.window.remove(&token)?;
+        self.unsent.remove(&token);
+        self.last_progress = Instant::now();
+        Some(req)
+    }
+
+    /// Ops submitted but not yet completed.
+    pub fn in_flight(&self) -> usize {
+        self.window.len()
     }
 
     /// Tokens of submitted ops the gateway refused with
@@ -591,7 +447,7 @@ impl PipelinedKvClient {
         let deadline = Instant::now() + timeout;
         loop {
             let done = self.pump()?;
-            if !done.is_empty() || self.window_empty() {
+            if !done.is_empty() || self.window.is_empty() {
                 return Ok(done);
             }
             let now = Instant::now();
@@ -625,7 +481,7 @@ impl PipelinedKvClient {
     pub fn drain(&mut self, timeout: Duration) -> std::io::Result<Vec<KvResult>> {
         let deadline = Instant::now() + timeout;
         let mut all = Vec::new();
-        while !self.window_empty() {
+        while !self.window.is_empty() {
             if Instant::now() >= deadline {
                 return Err(std::io::Error::new(
                     ErrorKind::TimedOut,
@@ -648,103 +504,63 @@ impl PipelinedKvClient {
         // that have gone mute, not slow ones.
         self.next_rotate = Instant::now() + self.rotate_after;
         match msg {
-            KvWire::Reply(mut res) if res.seq & READ_FLAG != 0 => {
-                // A log-free read completed (or expired server-side).
-                let token = res.seq;
-                let Some(key) = self.read_keys.remove(&token) else {
+            KvWire::Reply(mut res) => {
+                let Some(req) = self.take(res.seq) else {
                     return; // duplicate reply from a retransmission
                 };
-                self.read_unsent.remove(&token);
-                self.last_progress = Instant::now();
-                let orig = self.alias.remove(&token).unwrap_or(token);
-                if !res.applied {
-                    // The server's read-index deadline expired (leader
-                    // unreachable): reissue under a fresh token, still
-                    // reported to the caller under the original one.
-                    self.next_read += 1;
-                    let fresh = READ_FLAG | self.next_read;
-                    self.read_keys.insert(fresh, key);
-                    self.read_unsent.insert(fresh);
-                    self.alias.insert(fresh, orig);
-                    return;
+                let orig = self.alias.remove(&res.seq).unwrap_or(res.seq);
+                match req {
+                    // A read that did not run — its read-index deadline
+                    // expired (leader unreachable), or its log marker was
+                    // deduplicated — goes again under a fresh token.
+                    Req::Read(_) | Req::Write(KvOp::Read { .. }) if !res.applied => {
+                        self.reissue(orig, req)
+                    }
+                    // `applied` is the verdict of a write or transaction.
+                    _ => {
+                        res.seq = orig;
+                        done.push(res);
+                    }
                 }
-                res.seq = orig;
-                done.push(res);
             }
-            KvWire::Retry { seq } if seq & READ_FLAG != 0 => {
-                // A lease read reached the leader but no lease is held
-                // (still assembling grants, or leases disabled): fall
-                // through to the log path under the write session. The
-                // completion still carries the original read token.
-                if let Some(key) = self.read_keys.remove(&seq) {
-                    self.read_unsent.remove(&seq);
+            KvWire::Retry { seq } => match self.window.get(&seq) {
+                Some(Req::Read(key)) => {
+                    // A lease read reached the leader but no lease is held
+                    // (still assembling grants, or leases disabled): fall
+                    // through to the log path under the write session.
+                    let req = Req::Write(KvOp::Read { key: key.clone() });
+                    self.take(seq);
                     self.retries += 1;
                     let orig = self.alias.remove(&seq).unwrap_or(seq);
-                    let fresh = self.submit(KvOp::Read { key });
-                    self.alias.insert(fresh, orig);
+                    self.reissue(orig, req);
                 }
-            }
-            KvWire::Reply(res) if res.seq & TXN_FLAG != 0 => {
-                // A transaction resolved; `applied` is the commit verdict.
-                if self.txn_specs.remove(&res.seq).is_none() {
-                    return; // duplicate reply from a retransmission
+                Some(_) => {
+                    self.retries += 1;
+                    self.unsent.insert(seq);
+                    self.hold(self.retry_delay);
                 }
-                self.txn_unsent.remove(&res.seq);
-                self.last_progress = Instant::now();
-                done.push(res);
-            }
-            KvWire::Reply(mut res) => {
-                let seq = res.seq;
-                let Some(op) = self.inflight.remove(&seq) else {
-                    return; // duplicate reply from a retransmission
-                };
-                self.unsent.remove(&seq);
-                self.last_progress = Instant::now();
-                let orig = self.alias.remove(&seq).unwrap_or(seq);
-                if matches!(op, KvOp::Read { .. }) && !res.applied {
-                    // Deduplicated read: reissue under a fresh seq, still
-                    // reported to the caller under the original one.
-                    self.next_seq += 1;
-                    let fresh = self.next_seq;
-                    self.inflight.insert(fresh, op);
-                    self.unsent.insert(fresh);
-                    self.alias.insert(fresh, orig);
-                    return;
-                }
-                res.seq = orig;
-                done.push(res);
-            }
+                None => {}
+            },
             KvWire::Redirect { leader } | KvWire::ShardRedirect { leader, .. } => {
                 // A pipelined client targets one shard (or an unsharded
                 // store), so a shard redirect is just a leader hint for
                 // that shard.
                 self.retarget(leader);
-                let gate = Instant::now() + Duration::from_millis(20);
-                self.gate = Some(self.gate.map_or(gate, |g| g.max(gate)));
-            }
-            KvWire::Retry { seq } => {
-                if self.inflight.contains_key(&seq) {
-                    self.retries += 1;
-                    self.unsent.insert(seq);
-                    let gate = Instant::now() + self.retry_delay;
-                    self.gate = Some(self.gate.map_or(gate, |g| g.max(gate)));
-                }
+                self.hold(Duration::from_millis(20));
             }
             KvWire::CrossShard { seq } => {
                 // The gateway refused a multi-key op whose keys span
                 // shards. Terminal: retrying can never succeed, so pull
                 // the op from the window and surface the token instead
                 // of retransmitting forever.
-                if self.inflight.remove(&seq).is_some() {
-                    self.unsent.remove(&seq);
-                    self.last_progress = Instant::now();
+                if self.take(seq).is_some() {
                     let orig = self.alias.remove(&seq).unwrap_or(seq);
                     self.rejected.push(orig);
                 }
             }
             // Servers never send requests; routing-table frames are the
             // sharded wrapper's business (it refreshes via bootstrap);
-            // status queries are the synchronous client's.
+            // status answers come back on `ask`'s own connection.
             KvWire::Request(_)
             | KvWire::ReadRequest { .. }
             | KvWire::ShardsReq
@@ -755,75 +571,53 @@ impl PipelinedKvClient {
         }
     }
 
+    /// Hold retransmissions back for at least `pause` from now.
+    fn hold(&mut self, pause: Duration) {
+        let gate = Instant::now() + pause;
+        self.gate = Some(self.gate.map_or(gate, |g| g.max(gate)));
+    }
+
     /// Write every due outstanding request as one coalesced frame batch,
-    /// in strictly increasing seq order.
+    /// in token order.
     fn transmit(&mut self) {
         // Reconnection is driven by *outstanding* ops, not unsent ones: a
-        // dropped connection clears nothing from `inflight`, and
-        // `connect` re-marks the whole window for retransmission.
-        if self.window_empty()
-            || (self.conn.is_some()
-                && self.unsent.is_empty()
-                && self.read_unsent.is_empty()
-                && self.txn_unsent.is_empty())
-        {
+        // dropped connection clears nothing from `window`, and `connect`
+        // re-marks the whole window for retransmission.
+        if self.window.is_empty() || (self.conn.is_some() && self.unsent.is_empty()) {
             return;
         }
-        if let Some(g) = self.gate {
-            if Instant::now() < g {
-                return;
-            }
+        if self.gate.is_some_and(|g| Instant::now() < g) {
+            return;
         }
         if self.conn.is_none() && !self.connect() {
             return;
         }
-        if self.unsent.is_empty() && self.read_unsent.is_empty() && self.txn_unsent.is_empty() {
-            return;
-        }
         let mut buf = Vec::new();
-        for (&seq, op) in self.inflight.iter() {
-            if !self.unsent.contains(&seq) {
-                continue;
-            }
-            let cmd = KvCommand {
-                client: self.client_id,
-                seq,
-                op: op.clone(),
+        for &token in &self.unsent {
+            let msg = match &self.window[&token] {
+                Req::Write(op) => KvWire::Request(KvCommand {
+                    client: self.client_id,
+                    seq: token,
+                    op: op.clone(),
+                }),
+                Req::Read(key) => KvWire::ReadRequest {
+                    mode: self.read_mode,
+                    client: READ_FLAG | self.client_id,
+                    seq: token,
+                    key: key.clone(),
+                },
+                Req::Txn(spec) => KvWire::TxnRequest {
+                    client: self.client_id,
+                    seq: token,
+                    spec: spec.clone(),
+                },
             };
-            let payload = KvWire::Request(cmd).to_bytes();
-            buf.extend_from_slice(&frame::encode_frame(kind::KV, &payload));
-        }
-        for (&token, key) in self.read_keys.iter() {
-            if !self.read_unsent.contains(&token) {
-                continue;
-            }
-            let payload = KvWire::ReadRequest {
-                mode: self.read_mode,
-                client: READ_FLAG | self.client_id,
-                seq: token,
-                key: key.clone(),
-            }
-            .to_bytes();
-            buf.extend_from_slice(&frame::encode_frame(kind::KV, &payload));
-        }
-        for (&token, spec) in self.txn_specs.iter() {
-            if !self.txn_unsent.contains(&token) {
-                continue;
-            }
-            let payload = KvWire::TxnRequest {
-                client: self.client_id,
-                seq: token,
-                spec: spec.clone(),
-            }
-            .to_bytes();
-            buf.extend_from_slice(&frame::encode_frame(kind::KV, &payload));
+            buf.extend_from_slice(&frame::encode_frame(kind::KV, &msg.to_bytes()));
         }
         let conn = self.conn.as_ref().expect("connected above");
         let mut w = &conn.stream;
         if w.write_all(&buf).is_ok() {
             self.unsent.clear();
-            self.read_unsent.clear();
-            self.txn_unsent.clear();
             self.gate = None;
         } else {
             self.fail_conn();
@@ -840,8 +634,7 @@ impl PipelinedKvClient {
             Ok(s) => s,
             Err(_) => {
                 self.rotate();
-                let gate = Instant::now() + Duration::from_millis(20);
-                self.gate = Some(self.gate.map_or(gate, |g| g.max(gate)));
+                self.hold(Duration::from_millis(20));
                 return false;
             }
         };
@@ -863,9 +656,7 @@ impl PipelinedKvClient {
                 }
             })
             .ok();
-        self.unsent = self.inflight.keys().copied().collect();
-        self.read_unsent = self.read_keys.keys().copied().collect();
-        self.txn_unsent = self.txn_specs.keys().copied().collect();
+        self.unsent = self.window.keys().copied().collect();
         self.conn = Some(PipeConn { stream, rx, reader });
         true
     }
@@ -873,12 +664,11 @@ impl PipelinedKvClient {
     fn fail_conn(&mut self) {
         self.conn = None; // Drop shuts the socket down and joins the reader
         self.rotate();
-        let gate = Instant::now() + Duration::from_millis(20);
-        self.gate = Some(self.gate.map_or(gate, |g| g.max(gate)));
+        self.hold(Duration::from_millis(20));
     }
 
     fn check_stall(&mut self, done: &[KvResult]) -> std::io::Result<()> {
-        if self.window_empty() || !done.is_empty() {
+        if self.window.is_empty() || !done.is_empty() {
             return Ok(());
         }
         if self.last_progress.elapsed() > self.op_timeout {
@@ -900,13 +690,15 @@ impl PipelinedKvClient {
         Ok(())
     }
 
+    /// Follow a redirect to `leader` on a new connection — also when it
+    /// names the server that sent it, which keeps redirecting the
+    /// connection it once redirected (see `net::server`'s `Lane`).
     fn retarget(&mut self, leader: NodeId) {
         match self.servers.iter().position(|(pid, _)| *pid == leader) {
-            Some(i) if i != self.current => {
+            Some(i) => {
                 self.current = i;
                 self.conn = None;
             }
-            Some(_) => {} // already there; the leader may still be settling
             None => self.fail_conn(),
         }
     }
@@ -932,41 +724,49 @@ impl PipelinedKvClient {
 // ---------------------------------------------------------------------------
 // Sharded (routing) client
 
-/// Fetch the routing table from any reachable server: connect, send
-/// [`KvWire::ShardsReq`], return the per-shard leader pids. `leaders.len()`
-/// is the cluster's shard count (1 for an unsharded store).
-pub fn fetch_shards(
+/// Send `msg` to each server in turn, on a connection of its own, until
+/// one answers with a frame `pick` accepts; `timeout` bounds the connect
+/// and each wait for a frame.
+fn ask<T>(
     servers: &[(NodeId, SocketAddr)],
+    msg: &KvWire,
     timeout: Duration,
-) -> std::io::Result<Vec<NodeId>> {
+    mut pick: impl FnMut(KvWire) -> Option<T>,
+) -> std::io::Result<T> {
     let mut last_err = std::io::Error::new(ErrorKind::NotConnected, "no servers");
     for &(_, addr) in servers {
-        let attempt = (|| -> std::io::Result<Vec<NodeId>> {
+        let mut attempt = || -> std::io::Result<T> {
             let stream = TcpStream::connect_timeout(&addr, timeout)?;
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(timeout))?;
-            let mut w = &stream;
-            frame::write_frame(&mut w, kind::KV, &KvWire::ShardsReq.to_bytes())?;
-            let mut r = &stream;
+            frame::write_frame(&mut &stream, kind::KV, &msg.to_bytes())?;
             loop {
-                let f = frame::read_frame(&mut r)
+                let f = frame::read_frame(&mut &stream)
                     .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-                if f.kind != kind::KV {
-                    continue;
-                }
-                match KvWire::from_bytes(&f.payload) {
-                    Ok(KvWire::Shards { leaders }) => return Ok(leaders),
-                    Ok(_) | Err(_) => continue,
+                if let Some(answer) = frame::decode_kind(Ok(f), kind::KV).and_then(&mut pick) {
+                    return Ok(answer);
                 }
             }
-        })();
-        match attempt {
-            Ok(leaders) if !leaders.is_empty() => return Ok(leaders),
-            Ok(_) => last_err = std::io::Error::new(ErrorKind::InvalidData, "empty routing table"),
+        };
+        match attempt() {
+            Ok(answer) => return Ok(answer),
             Err(e) => last_err = e,
         }
     }
     Err(last_err)
+}
+
+/// Fetch the routing table from any reachable server: the per-shard
+/// leader pids. `leaders.len()` is the cluster's shard count (1 for an
+/// unsharded store).
+pub fn fetch_shards(
+    servers: &[(NodeId, SocketAddr)],
+    timeout: Duration,
+) -> std::io::Result<Vec<NodeId>> {
+    ask(servers, &KvWire::ShardsReq, timeout, |m| match m {
+        KvWire::Shards { leaders } if !leaders.is_empty() => Some(leaders),
+        _ => None,
+    })
 }
 
 /// An open-loop client for a sharded store: one [`PipelinedKvClient`]

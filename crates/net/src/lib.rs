@@ -17,8 +17,12 @@
 //!   and monotonically numbered sessions, so the paper's session-based
 //!   FIFO link assumptions (§4.1.3) hold over real sockets.
 //! * [`server`] / [`client`] — the deployable kvstore: a server driver
-//!   generic over the link backend, a client-facing TCP gateway, and a
-//!   retrying client. `omni-kv-server` / `omni-kv-client` are the
+//!   generic over the link backend with one admission `Lane` per shard,
+//!   a client-facing TCP gateway, and one retrying client —
+//!   [`PipelinedKvClient`](client::PipelinedKvClient), a window of
+//!   requests in flight, of which [`KvClient`](client::KvClient) is the
+//!   window-1 case and [`ShardedKvClient`](client::ShardedKvClient) one
+//!   session per shard. `omni-kv-server` / `omni-kv-client` are the
 //!   binaries.
 
 pub mod client;

@@ -19,8 +19,7 @@ use crate::frame::{self, kind, FrameReader};
 use crate::link::{lock_unpoisoned, Inbox, LinkEvent, NetworkLink, WakeSource, Waker};
 use crate::tcp::unblock_accept;
 use kvstore::{
-    shard_of_key, KvCommand, KvNode, KvWire, ReadMode, ShardedKvNode, TxnCoordinator, TxnId,
-    TxnState,
+    shard_of_key, KvCommand, KvWire, ReadMode, ShardedKvNode, TxnCoordinator, TxnId, TxnState,
 };
 use omnipaxos::wire::Wire;
 use omnipaxos::{OmniMessage, PaxosMsg, ServiceMsg};
@@ -319,6 +318,167 @@ pub struct LoopStats {
     pub wakes_control: u64,
 }
 
+/// One shard's client-facing state on this gateway: the admission
+/// watermarks, the requests waiting on the replica, and this cycle's
+/// admitted batch. Plain data: every admission rule is a method here.
+#[derive(Default)]
+struct Lane {
+    /// Commands in flight: `(client, seq) -> conn`.
+    pending: HashMap<(u64, u64), ConnId>,
+    /// Highest admitted seq per client. Pipelined clients keep a window of
+    /// seqs in flight; admission is kept contiguous per client (a fresh
+    /// seq is admitted only if it extends `admitted + 1`), so a shed
+    /// command can never be overtaken by a later one from the same
+    /// client. Without this, the session table (which stores only the
+    /// highest applied seq) would swallow the shed command's retry as a
+    /// duplicate and the write would be silently lost. Sharded clients
+    /// use one session (client id + seq space) per shard, which is why
+    /// the watermarks live in the lane.
+    admitted: HashMap<u64, u64>,
+    /// Last gap-shed `(conn, seq)` per client. A client that spreads ONE
+    /// seq space over several shards (the routing-oblivious closed-loop
+    /// client) leaves permanent holes in each shard's seq stream; the gap
+    /// rule alone would `Retry` such a client forever. Clients transmit
+    /// their unsent window in seq order over a FIFO connection, so if the
+    /// *same* connection presents the same seq twice with no intervening
+    /// request from that client, every seq in the gap is provably not
+    /// coming here — the watermark may re-init to `seq - 1`. Any
+    /// intervening arrival (admitted, duplicate, or even overload-shed)
+    /// clears the record, because it proves lower seqs are still in
+    /// flight to this shard.
+    gap_shed: HashMap<u64, (ConnId, u64)>,
+    /// The connection on which each client was last sent a leader
+    /// redirect for a write (see [`Lane::admit`]).
+    redirected: HashMap<u64, ConnId>,
+    /// Log-free reads in flight: `(client, seq) -> conn`. Separate from
+    /// `pending` because these never ride the log: they are not
+    /// invalidated by leadership changes (lease reads serve in the same
+    /// cycle; read-index reads carry their own deadline) and must not be
+    /// drained with `Retry` when this node stops leading the shard.
+    pending_reads: HashMap<(u64, u64), ConnId>,
+    /// This cycle's admitted commands, proposed together at its end, and
+    /// where each one's reply goes.
+    batch: Vec<KvCommand>,
+    reply_to: Vec<((u64, u64), ConnId)>,
+}
+
+/// What [`Lane::admit`] made of a write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// Into this cycle's batch.
+    Queued,
+    /// Answered with a redirect to the shard's leader.
+    Redirect,
+    /// Answered with `Retry`: a gap before it, or the overload bound.
+    Shed,
+}
+
+impl Lane {
+    /// Admit a write that arrived on `conn` into this cycle's batch, or
+    /// say why not. `leading`: this node leads the shard.
+    fn admit(
+        &mut self,
+        cmd: KvCommand,
+        conn: ConnId,
+        leading: bool,
+        max_pending: usize,
+    ) -> Admission {
+        // A connection on which this client was redirected stays
+        // redirected: those frames are ahead of anything said now, and on
+        // reading them the client resends its whole window, in seq order,
+        // on a new connection. Were this node to win the shard in between
+        // and admit the later seqs as a first contact, they would overtake
+        // the redirected ones, and the session table would then refuse the
+        // resent lower seqs as stale duplicates — writes answered
+        // `applied: false` that nobody ever applied.
+        if !leading || self.redirected.get(&cmd.client) == Some(&conn) {
+            self.redirected.insert(cmd.client, conn);
+            return Admission::Redirect;
+        }
+        // Any other connection carries the resent, in-order window.
+        self.redirected.remove(&cmd.client);
+        let key = (cmd.client, cmd.seq);
+        let seq = cmd.seq;
+        // Any arrival from this client clears its gap record: a lower seq
+        // showing up proves the gap is still being retransmitted.
+        let gap_prev = self.gap_shed.remove(&cmd.client);
+        // First contact with a client admits whatever seq it leads with (a
+        // client always transmits its outstanding window in seq order, so
+        // the lowest outstanding seq arrives first).
+        let mut admitted = *self
+            .admitted
+            .entry(cmd.client)
+            .or_insert_with(|| seq.saturating_sub(1));
+        if seq > admitted + 1 {
+            if gap_prev != Some((conn, seq)) {
+                // Gap: an earlier seq from this client was shed — or never
+                // routed to this shard at all. Shed this one too:
+                // admitting it would let it overtake a shed earlier
+                // command in the log, and the session table (highest
+                // applied seq) would then drop that command's retry as a
+                // duplicate — a silently lost write. Record the shed so a
+                // repeat can tell the two cases apart.
+                self.gap_shed.insert(cmd.client, (conn, seq));
+                return Admission::Shed;
+            }
+            // The same connection re-sent the same seq with nothing from
+            // this client in between. The client transmits its unsent
+            // window in seq order over a FIFO connection, so every seq
+            // inside the gap is provably not coming here (it belongs to
+            // other shards). Re-initialize the watermark, exactly like
+            // first contact.
+            admitted = seq.saturating_sub(1);
+            self.admitted.insert(cmd.client, admitted);
+        }
+        // Overload shedding: a full pending queue means this shard's
+        // replication is behind client arrival; answer `Retry` now rather
+        // than queueing unboundedly. Duplicates (seq ≤ admitted) are
+        // exempt — re-registering them is free and the session layer
+        // deduplicates on apply.
+        if seq > admitted
+            && self.pending.len() + self.batch.len() >= max_pending
+            && !self.pending.contains_key(&key)
+        {
+            return Admission::Shed;
+        }
+        self.admitted.insert(cmd.client, admitted.max(seq));
+        self.reply_to.push((key, conn));
+        self.batch.push(cmd);
+        Admission::Queued
+    }
+
+    /// The replica took the first `accepted` commands of this cycle's
+    /// batch: they are pending now. Returns `(conn, seq)` of the rest,
+    /// which are owed a `Retry`.
+    fn proposed(&mut self, accepted: usize) -> impl Iterator<Item = (ConnId, u64)> + '_ {
+        let mut rest = self.reply_to.drain(..);
+        self.pending.extend(rest.by_ref().take(accepted));
+        rest.map(|((_, seq), conn)| (conn, seq))
+    }
+
+    /// This node does not lead the shard (any more). Commands in flight
+    /// have an unknown fate, so they are returned to be told to retry (the
+    /// session layer deduplicates any that decided after all) rather than
+    /// leak and wedge the overload bound. Admission watermarks describe
+    /// only what *this* leadership stint admitted; kept, they would make
+    /// every fresh seq a gap once leadership returns — an unbreakable
+    /// Retry loop — so first contact re-initializes them. Log-free reads
+    /// stay.
+    fn step_down(&mut self) -> impl Iterator<Item = ((u64, u64), ConnId)> + '_ {
+        self.admitted.clear();
+        self.gap_shed.clear();
+        self.pending.drain()
+    }
+
+    /// The connection waiting on the result for `(client, seq)`, if any.
+    fn complete(&mut self, client: u64, seq: u64) -> Option<ConnId> {
+        let key = (client, seq);
+        self.pending
+            .remove(&key)
+            .or_else(|| self.pending_reads.remove(&key))
+    }
+}
+
 /// One kv server: per-shard replicas + shared replication link + optional
 /// client gateway. Every shard's consensus traffic rides the same link
 /// sessions (group envelopes, coalesced BLE — see `kvstore::shard`); the
@@ -330,42 +490,11 @@ pub struct KvServer<L> {
     node: ShardedKvNode,
     link: Option<L>,
     gateway: Option<ClientGateway>,
-    /// Commands in flight, per shard: `(client, seq) -> conn`.
-    pending: Vec<HashMap<(u64, u64), ConnId>>,
-    /// Overload bound on each shard's `pending`: requests beyond it get
+    /// One [`Lane`] per shard.
+    lanes: Vec<Lane>,
+    /// Overload bound on each lane's `pending`: requests beyond it get
     /// `Retry`.
     max_pending: usize,
-    /// Highest admitted seq per client, per shard. Pipelined clients keep
-    /// a window of seqs in flight; admission is kept contiguous per
-    /// client (a fresh seq is admitted only if it extends `admitted +
-    /// 1`), so a shed command can never be overtaken by a later one from
-    /// the same client. Without this, the session table (which stores
-    /// only the highest applied seq) would swallow the shed command's
-    /// retry as a duplicate and the write would be silently lost.
-    /// Sharded clients use one session (client id + seq space) per shard,
-    /// so the watermark map is per shard too.
-    admitted: Vec<HashMap<u64, u64>>,
-    /// Last gap-shed `(conn, seq)` per client, per shard. A client that
-    /// spreads ONE seq space over several shards (the routing-oblivious
-    /// closed-loop client) leaves permanent holes in each shard's seq
-    /// stream; the gap rule alone would `Retry` such a client forever.
-    /// Clients transmit their unsent window in seq order over a FIFO
-    /// connection, so if the *same* connection presents the same seq
-    /// twice with no intervening request from that client, every seq in
-    /// the gap is provably not coming here — the watermark may re-init
-    /// to `seq - 1`. Any intervening arrival (admitted, duplicate, or
-    /// even overload-shed) clears the record, because it proves lower
-    /// seqs are still in flight to this shard.
-    gap_shed: Vec<HashMap<u64, (ConnId, u64)>>,
-    /// Per shard: the connection on which each client was last sent a
-    /// leader redirect for a write (see `serve_clients`).
-    redirected: Vec<HashMap<u64, ConnId>>,
-    /// Log-free reads in flight, per shard: `(client, seq) -> conn`.
-    /// Separate from `pending` because these never ride the log: they are
-    /// not invalidated by leadership changes (lease reads serve in the
-    /// same cycle; read-index reads carry their own deadline) and must
-    /// not be drained with `Retry` when this node stops leading a shard.
-    pending_reads: Vec<HashMap<(u64, u64), ConnId>>,
     shed: u64,
     prepare_reqs: u64,
     reconnects: u64,
@@ -400,14 +529,9 @@ impl<L> Drop for KvServer<L> {
 }
 
 impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
-    /// A single-shard server (the pre-sharding deployment shape; its wire
-    /// format is bit-identical to the unsharded protocol).
-    pub fn new(node: KvNode, link: L) -> Self {
-        Self::new_sharded(ShardedKvNode::from_single(node), link)
-    }
-
     /// A server over a sharded node: one consensus group per shard,
-    /// multiplexed over this server's single link.
+    /// multiplexed over this server's single link. A node of one shard
+    /// is the unsharded deployment, with its pre-sharding wire format.
     pub fn new_sharded(node: ShardedKvNode, mut link: L) -> Self {
         let n = node.n_shards();
         let waker = Waker::default();
@@ -426,12 +550,8 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             node,
             link: Some(link),
             gateway: None,
-            pending: vec![HashMap::new(); n],
+            lanes: (0..n).map(|_| Lane::default()).collect(),
             max_pending: DEFAULT_MAX_PENDING,
-            admitted: vec![HashMap::new(); n],
-            gap_shed: vec![HashMap::new(); n],
-            redirected: vec![HashMap::new(); n],
-            pending_reads: vec![HashMap::new(); n],
             shed: 0,
             prepare_reqs: 0,
             reconnects: 0,
@@ -636,29 +756,12 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
             return 0;
         };
         let n_shards = self.node.n_shards();
-        for s in 0..n_shards {
-            if self.node.is_leader(s as u32) {
-                continue;
-            }
-            if !self.pending[s].is_empty() {
-                // Leadership of this shard lost with commands in flight:
-                // their fate is unknown (the new leader may or may not
-                // carry them). Tell the clients to retry — the session
-                // layer deduplicates any that decided after all — so
-                // `pending` cannot leak dead entries and eventually wedge
-                // the overload bound.
-                for ((_, seq), conn) in self.pending[s].drain() {
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
+            if !self.node.is_leader(s as u32) {
+                for ((_, seq), conn) in lane.step_down() {
                     gateway.reply(conn, &KvWire::Retry { seq });
                 }
             }
-            // Admission watermarks only describe what *this* leadership
-            // stint admitted. While another leader serves the clients
-            // their seqs advance elsewhere; keeping the old watermarks
-            // would make every fresh seq look like a gap once leadership
-            // returns here — an unbreakable Retry loop. Drop them; first
-            // contact re-initializes from the client's in-order window.
-            self.admitted[s].clear();
-            self.gap_shed[s].clear();
         }
         // Drain every queued request before flushing: all commands
         // admitted in this cycle form one contiguous append run *per
@@ -666,8 +769,6 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
         // `AcceptDecide` per follower per shard at the next drain
         // (proposal batching).
         let mut served = 0;
-        let mut meta: Vec<Vec<((u64, u64), ConnId)>> = vec![Vec::new(); n_shards];
-        let mut batch: Vec<Vec<kvstore::KvCommand>> = vec![Vec::new(); n_shards];
         for (conn, msg) in gateway.poll() {
             served += 1;
             let cmd = match msg {
@@ -688,7 +789,7 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                     key,
                 } => {
                     let shard = shard_of_key(&key, n_shards);
-                    let s = shard as usize;
+                    let lane = &mut self.lanes[shard as usize];
                     match mode {
                         // Read-index reads serve at ANY replica — this is
                         // the follower-read path, so no leader redirect.
@@ -701,7 +802,7 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                                 seq,
                                 key,
                             );
-                            self.pending_reads[s].insert((client, seq), conn);
+                            lane.pending_reads.insert((client, seq), conn);
                             continue;
                         }
                         // Lease reads serve locally only while this node
@@ -721,16 +822,11 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                                     seq,
                                     key,
                                 );
-                                self.pending_reads[s].insert((client, seq), conn);
+                                lane.pending_reads.insert((client, seq), conn);
                             } else if self.node.is_leader(shard) {
                                 gateway.reply(conn, &KvWire::Retry { seq });
                             } else {
-                                let leader = self.node.leader_of(shard);
-                                if n_shards == 1 {
-                                    gateway.reply(conn, &KvWire::Redirect { leader });
-                                } else {
-                                    gateway.reply(conn, &KvWire::ShardRedirect { shard, leader });
-                                }
+                                gateway.reply(conn, &redirect(&self.node, shard));
                             }
                             continue;
                         }
@@ -752,19 +848,9 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                     // record, not the session table.
                     let txn = (client, seq);
                     match self.txn.begin(&mut self.node, txn, &spec) {
-                        Some(committed) => {
-                            // Retransmit fast path: the decision is
-                            // already recorded locally — replay it.
-                            gateway.reply(
-                                conn,
-                                &KvWire::Reply(kvstore::KvResult {
-                                    client,
-                                    seq,
-                                    value: Some(committed as i64),
-                                    applied: committed,
-                                }),
-                            );
-                        }
+                        // Retransmit fast path: the decision is already
+                        // recorded locally — replay it.
+                        Some(committed) => gateway.reply(conn, &txn_verdict(txn, committed)),
                         None => {
                             self.pending_txns.insert(txn, conn);
                         }
@@ -795,123 +881,44 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
                 }
                 _ => continue, // clients only send requests
             };
-            if matches!(
-                cmd.op,
-                kvstore::KvOp::TxnPrepare(_)
-                    | kvstore::KvOp::TxnDecide { .. }
-                    | kvstore::KvOp::TxnCommit { .. }
-                    | kvstore::KvOp::TxnAbort { .. }
-            ) {
-                // Raw 2PC records are coordinator-internal; a client must
-                // use the TxnRequest path. Answer with the same typed
-                // error as a spanning op so it cannot silently corrupt
-                // the lock table.
-                self.cross_shard_rejects += 1;
-                gateway.reply(conn, &KvWire::CrossShard { seq: cmd.seq });
-                continue;
-            }
-            if self.node.spans_shards(&cmd.op) {
-                // The PR 7 hazard, closed: a multi-key op whose keys live
-                // on different shards is rejected loudly (the client
-                // reissues it as a transaction), never first-key routed.
+            // A multi-key op whose keys live on different shards is
+            // rejected loudly (the client reissues it as a transaction),
+            // never first-key routed. So are raw 2PC records: they are
+            // coordinator-internal, and a client's could corrupt the lock
+            // table.
+            if self.node.spans_shards(&cmd.op)
+                || matches!(
+                    cmd.op,
+                    kvstore::KvOp::TxnPrepare(_)
+                        | kvstore::KvOp::TxnDecide { .. }
+                        | kvstore::KvOp::TxnCommit { .. }
+                        | kvstore::KvOp::TxnAbort { .. }
+                )
+            {
                 self.cross_shard_rejects += 1;
                 gateway.reply(conn, &KvWire::CrossShard { seq: cmd.seq });
                 continue;
             }
             let shard = self.node.shard_of(&cmd.op);
-            let s = shard as usize;
-            // A connection on which this client was redirected stays
-            // redirected: those frames are ahead of anything said now, and
-            // on reading them the client resends its whole window, in seq
-            // order, on a new connection. Were this node to win the shard
-            // in between and admit the later seqs as a first contact, they
-            // would overtake the redirected ones, and the session table
-            // would then refuse the resent lower seqs as stale duplicates —
-            // writes answered `applied: false` that nobody ever applied.
-            let redirected_here = self.redirected[s].get(&cmd.client) == Some(&conn);
-            if !self.node.is_leader(shard) || redirected_here {
-                self.redirected[s].insert(cmd.client, conn);
-                let leader = self.node.leader_of(shard);
-                // Single-shard servers speak the pre-sharding protocol;
-                // sharded ones tell the client *which* shard to re-route.
-                if n_shards == 1 {
-                    gateway.reply(conn, &KvWire::Redirect { leader });
-                } else {
-                    gateway.reply(conn, &KvWire::ShardRedirect { shard, leader });
-                }
-                continue;
-            }
-            // Any other connection carries the resent, in-order window.
-            self.redirected[s].remove(&cmd.client);
-            let key = (cmd.client, cmd.seq);
-            let seq = cmd.seq;
-            // Any arrival from this client clears its gap record: a lower
-            // seq showing up proves the gap is still being retransmitted.
-            let gap_prev = self.gap_shed[s].remove(&cmd.client);
-            // First contact with a client admits whatever seq it leads
-            // with (a client always transmits its outstanding window in
-            // seq order, so the lowest outstanding seq arrives first).
-            // Sharded clients run one session per shard, so the watermark
-            // lives in the shard's own map.
-            let mut admitted = *self.admitted[s]
-                .entry(cmd.client)
-                .or_insert_with(|| seq.saturating_sub(1));
-            if seq > admitted + 1 {
-                if gap_prev != Some((conn, seq)) {
-                    // Gap: an earlier seq from this client was shed — or
-                    // never routed to this shard at all. Shed this one
-                    // too: admitting it would let it overtake a shed
-                    // earlier command in the log, and the session table
-                    // (highest applied seq) would then drop that
-                    // command's retry as a duplicate — a silently lost
-                    // write. Record the shed so a repeat can tell the
-                    // two cases apart.
-                    self.gap_shed[s].insert(cmd.client, (conn, seq));
+            let (leading, seq) = (self.node.is_leader(shard), cmd.seq);
+            match self.lanes[shard as usize].admit(cmd, conn, leading, self.max_pending) {
+                Admission::Queued => {}
+                Admission::Redirect => gateway.reply(conn, &redirect(&self.node, shard)),
+                Admission::Shed => {
                     self.shed += 1;
                     gateway.reply(conn, &KvWire::Retry { seq });
-                    continue;
                 }
-                // The same connection re-sent the same seq with nothing
-                // from this client in between. The client transmits its
-                // unsent window in seq order over a FIFO connection, so
-                // every seq inside the gap is provably not coming here
-                // (it belongs to other shards). Re-initialize the
-                // watermark, exactly like first contact.
-                admitted = seq.saturating_sub(1);
-                self.admitted[s].insert(cmd.client, admitted);
             }
-            // Overload shedding: a full pending queue means this shard's
-            // replication is behind client arrival; answer `Retry` now
-            // rather than queueing unboundedly. Duplicates (seq ≤
-            // admitted) are exempt — re-registering them is free and the
-            // session layer deduplicates on apply.
-            if seq > admitted
-                && self.pending[s].len() + batch[s].len() >= self.max_pending
-                && !self.pending[s].contains_key(&key)
-            {
-                self.shed += 1;
-                gateway.reply(conn, &KvWire::Retry { seq });
-                continue;
-            }
-            self.admitted[s].insert(cmd.client, admitted.max(seq));
-            meta[s].push((key, conn));
-            batch[s].push(cmd);
         }
-        for s in 0..n_shards {
-            let b = std::mem::take(&mut batch[s]);
-            if b.is_empty() {
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
+            if lane.batch.is_empty() {
                 continue;
             }
-            let accepted = match self.node.submit_batch(s as u32, b) {
-                Ok(n) => n,
-                Err((n, _)) => n,
+            let accepted = match self.node.submit_batch(s as u32, lane.batch.drain(..)) {
+                Ok(n) | Err((n, _)) => n,
             };
-            for (i, (key, conn)) in meta[s].drain(..).enumerate() {
-                if i < accepted {
-                    self.pending[s].insert(key, conn);
-                } else {
-                    gateway.reply(conn, &KvWire::Retry { seq: key.1 });
-                }
+            for (conn, seq) in lane.proposed(accepted) {
+                gateway.reply(conn, &KvWire::Retry { seq });
             }
             if accepted > 0 {
                 self.proposal_batches += 1;
@@ -930,24 +937,13 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
         };
         let n = results.len();
         for (shard, res) in results {
-            let s = shard as usize;
-            if let Some(conn) = self.pending[s].remove(&(res.client, res.seq)) {
-                gateway.reply(conn, &KvWire::Reply(res));
-            } else if let Some(conn) = self.pending_reads[s].remove(&(res.client, res.seq)) {
+            if let Some(conn) = self.lanes[shard as usize].complete(res.client, res.seq) {
                 gateway.reply(conn, &KvWire::Reply(res));
             }
         }
         for outcome in self.txn.take_outcomes() {
             if let Some(conn) = self.pending_txns.remove(&outcome.txn) {
-                gateway.reply(
-                    conn,
-                    &KvWire::Reply(kvstore::KvResult {
-                        client: outcome.txn.0,
-                        seq: outcome.txn.1,
-                        value: Some(outcome.committed as i64),
-                        applied: outcome.committed,
-                    }),
-                );
+                gateway.reply(conn, &txn_verdict(outcome.txn, outcome.committed));
             }
         }
         n
@@ -1023,6 +1019,28 @@ impl<L: NetworkLink<ServiceMsg<kvstore::KvCommand>>> KvServer<L> {
     }
 }
 
+/// Where a request for `shard` goes when this node does not lead it.
+/// Single-shard servers speak the pre-sharding protocol; sharded ones
+/// tell the client *which* shard to re-route.
+fn redirect(node: &ShardedKvNode, shard: u32) -> KvWire {
+    let leader = node.leader_of(shard);
+    if node.n_shards() == 1 {
+        KvWire::Redirect { leader }
+    } else {
+        KvWire::ShardRedirect { shard, leader }
+    }
+}
+
+/// The reply that tells a client its transaction's verdict.
+fn txn_verdict((client, seq): TxnId, committed: bool) -> KvWire {
+    KvWire::Reply(kvstore::KvResult {
+        client,
+        seq,
+        value: Some(committed as i64),
+        applied: committed,
+    })
+}
+
 fn is_prepare_req<T: omnipaxos::Entry>(msg: &ServiceMsg<T>) -> bool {
     match msg {
         // Sharded peers wrap per-group traffic in the group envelope.
@@ -1039,7 +1057,7 @@ fn is_prepare_req<T: omnipaxos::Entry>(msg: &ServiceMsg<T>) -> bool {
 mod tests {
     use super::*;
     use crate::link::{SimHub, SimLink};
-    use kvstore::{KvCommand, KvOp};
+    use kvstore::{KvCommand, KvNode, KvOp};
     use simulator::NetworkConfig;
 
     fn solo_hub() -> SimHub<ServiceMsg<KvCommand>> {
@@ -1053,12 +1071,20 @@ mod tests {
         })
     }
 
+    /// A one-replica, one-shard server.
+    fn solo_server<L: NetworkLink<ServiceMsg<KvCommand>>>(link: L) -> KvServer<L> {
+        KvServer::new_sharded(
+            ShardedKvNode::from_shards(vec![KvNode::new(1, vec![1])]),
+            link,
+        )
+    }
+
     /// A handle call must never wait on a loop that will not run it: one
     /// posted before `run` is served, one still queued when `run` returns
     /// and one posted afterwards both come back `None`.
     #[test]
     fn handle_calls_fail_instead_of_waiting_on_a_stopped_loop() {
-        let server = KvServer::new(KvNode::new(1, vec![1]), solo_hub().link(1));
+        let server = solo_server(solo_hub().link(1));
         let (handle, waker) = (server.handle(), server.waker.clone());
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -1147,7 +1173,7 @@ mod tests {
         let hub = solo_hub();
         let gateway = ClientGateway::bind(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
         let addr = gateway.local_addr();
-        let mut server = KvServer::new(KvNode::new(1, vec![1]), hub.link(1)).with_gateway(gateway);
+        let mut server = solo_server(hub.link(1)).with_gateway(gateway);
         assert!(
             !server.node().is_leader(0),
             "no election before the first tick"
@@ -1190,7 +1216,7 @@ mod tests {
         let hub = solo_hub();
         let gateway = ClientGateway::bind(TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
         let addr = gateway.local_addr();
-        let mut server = KvServer::new(KvNode::new(1, vec![1]), hub.link(1)).with_gateway(gateway);
+        let mut server = solo_server(hub.link(1)).with_gateway(gateway);
         for _ in 0..100 {
             server.tick();
         }
@@ -1230,6 +1256,148 @@ mod tests {
                 assert_eq!((res.client, res.seq, res.applied), (7, 1, true));
             }
             other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+
+    /// One step of an admission row: a write from client 7 on a connection
+    /// — `Lead` while this node leads the shard, `Follow` while it does
+    /// not — with the verdict `admit` must give it, or another lane event.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Lead(ConnId, u64, Admission),
+        Follow(ConnId, u64, Admission),
+        /// The replica takes the whole batch.
+        Propose,
+        /// The replica already holds client 7's command of this seq.
+        Holding(u64),
+        /// A log-free read of this seq is in flight.
+        Reading(u64),
+        /// Leadership lost; the seqs `step_down` must hand back for `Retry`.
+        Deposed(&'static [u64]),
+    }
+
+    /// Every admission rule, one row each, on a bare lane with an overload
+    /// bound of two: no sockets, no hub, no replica.
+    #[test]
+    fn admission_rules() {
+        use Admission::{Queued, Redirect, Shed};
+        use Step::*;
+        type Row = (&'static str, &'static [Step], fn(&Lane) -> bool);
+        let rows: [Row; 10] = [
+            (
+                "first contact admits the seq a client leads with",
+                &[Lead(1, 5, Queued)],
+                |l| l.admitted[&7] == 5,
+            ),
+            ("in order", &[Lead(1, 5, Queued), Lead(1, 6, Queued)], |l| {
+                l.admitted[&7] == 6 && l.batch.len() == 2
+            }),
+            (
+                "a gap is shed and recorded as (conn, seq)",
+                &[Lead(1, 1, Queued), Lead(1, 3, Shed)],
+                |l| l.gap_shed[&7] == (1, 3) && l.admitted[&7] == 1,
+            ),
+            (
+                "a same-connection repeat re-inits the watermark",
+                &[Lead(1, 1, Queued), Lead(1, 3, Shed), Lead(1, 3, Queued)],
+                |l| l.admitted[&7] == 3 && l.gap_shed.is_empty(),
+            ),
+            (
+                "a repeat on another connection is a new gap",
+                &[Lead(1, 1, Queued), Lead(1, 3, Shed), Lead(2, 3, Shed)],
+                |l| l.gap_shed[&7] == (2, 3) && l.admitted[&7] == 1,
+            ),
+            (
+                "an intervening arrival clears the record",
+                &[
+                    Lead(1, 1, Queued),
+                    Lead(1, 3, Shed),
+                    Lead(1, 1, Queued),
+                    Lead(1, 3, Shed),
+                ],
+                |l| l.gap_shed[&7] == (1, 3) && l.admitted[&7] == 1,
+            ),
+            (
+                "the overload bound sheds a fresh seq, not a duplicate",
+                &[
+                    Lead(1, 1, Queued),
+                    Lead(1, 2, Queued),
+                    Propose,
+                    Lead(1, 3, Shed),
+                    Lead(1, 2, Queued),
+                ],
+                |l| l.pending.len() == 2 && l.admitted[&7] == 2,
+            ),
+            (
+                "nor one the replica already holds",
+                &[
+                    Holding(3),
+                    Holding(4),
+                    Lead(1, 3, Queued),
+                    Lead(1, 4, Queued),
+                    Lead(1, 5, Shed),
+                ],
+                |l| l.admitted[&7] == 4,
+            ),
+            (
+                "a redirected connection stays redirected until the client shows up on another",
+                &[
+                    Follow(1, 1, Redirect),
+                    Lead(1, 2, Redirect),
+                    Lead(2, 1, Queued),
+                    Lead(1, 2, Queued),
+                ],
+                |l| l.redirected.is_empty() && l.admitted[&7] == 2,
+            ),
+            (
+                "step_down Retry-drains pending, clears the watermarks and keeps reads",
+                &[
+                    Lead(1, 1, Queued),
+                    Lead(1, 2, Queued),
+                    Propose,
+                    Lead(1, 4, Shed),
+                    Reading(1),
+                    Deposed(&[1, 2]),
+                    Lead(1, 9, Queued),
+                ],
+                |l| l.pending_reads.len() == 1 && l.gap_shed.is_empty() && l.admitted[&7] == 9,
+            ),
+        ];
+        let write = |seq| KvCommand {
+            client: 7,
+            seq,
+            op: KvOp::Put {
+                key: "k".into(),
+                value: seq as i64,
+            },
+        };
+        for (rule, steps, holds) in rows {
+            let mut lane = Lane::default();
+            for (i, &step) in steps.iter().enumerate() {
+                match step {
+                    Lead(conn, seq, want) | Follow(conn, seq, want) => {
+                        let leading = matches!(step, Lead(..));
+                        let got = lane.admit(write(seq), conn, leading, 2);
+                        assert_eq!(got, want, "{rule}: step {i}, seq {seq} on conn {conn}");
+                    }
+                    Propose => {
+                        let n = lane.batch.drain(..).count();
+                        assert_eq!(lane.proposed(n).count(), 0, "{rule}: step {i}");
+                    }
+                    Holding(seq) => {
+                        lane.pending.insert((7, seq), 1);
+                    }
+                    Reading(seq) => {
+                        lane.pending_reads.insert((7, seq), 1);
+                    }
+                    Deposed(want) => {
+                        let mut seqs: Vec<u64> = lane.step_down().map(|((_, s), _)| s).collect();
+                        seqs.sort_unstable();
+                        assert_eq!(seqs, want, "{rule}: step {i}");
+                    }
+                }
+            }
+            assert!(holds(&lane), "{rule}: final state");
         }
     }
 }

@@ -1373,3 +1373,33 @@ fn cross_shard_transactions_commit_abort_and_conserve_balance() {
         }
     }
 }
+
+/// A transaction rides its own identity space, so it leaves no hole in
+/// the closed-loop client's write session: the put after it is admitted
+/// at once, not gap-shed and resent.
+#[test]
+fn closed_loop_write_after_a_txn_is_not_shed() {
+    let cluster = Cluster::boot(&[1, 2, 3]);
+    let leader = cluster.wait_for_leader();
+    let shed = |cluster: &Cluster| -> u64 {
+        cluster
+            .nodes
+            .iter()
+            .map(|n| n.ask(|s| s.shed_requests()))
+            .sum()
+    };
+    let mut client = KvClient::new(0xC11E66, cluster.client_addrs());
+    let before = shed(&cluster);
+    assert!(client.put("acct-a", 10).expect("put").applied);
+    let res = client
+        .txn(kvstore::TxnSpec::transfer("acct-a", "acct-b", 4))
+        .expect("txn");
+    assert!(res.applied, "funded transfer commits");
+    assert!(client.put("acct-c", 1).expect("put after txn").applied);
+    assert_eq!(
+        shed(&cluster),
+        before,
+        "a request was shed (leader {leader})"
+    );
+    cluster.shutdown();
+}

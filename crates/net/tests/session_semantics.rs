@@ -13,7 +13,7 @@
 //! sockets with the transport killed and rebuilt. That the one driver
 //! code path passes both is the point of the `NetworkLink` abstraction.
 
-use kvstore::{KvCommand, KvNode, KvOp, NodeId};
+use kvstore::{KvCommand, KvNode, KvOp, NodeId, ShardedKvNode};
 use net::server::KvServer;
 use net::tcp::{TcpConfig, TcpTransport};
 use net::SimHub;
@@ -46,7 +46,10 @@ fn sim_session_reestablish_triggers_prepare_req_resync() {
         ..Default::default()
     });
     let mut servers: Vec<KvServer<_>> = (1..=3u64)
-        .map(|pid| KvServer::new(KvNode::new(pid, vec![1, 2, 3]), hub.link(pid)))
+        .map(|pid| {
+            let node = ShardedKvNode::from_shards(vec![KvNode::new(pid, vec![1, 2, 3])]);
+            KvServer::new_sharded(node, hub.link(pid))
+        })
         .collect();
 
     // Drive: 1 ms ticks; pump after every delivery phase.
@@ -206,7 +209,8 @@ fn tcp_session_reestablish_triggers_prepare_req_resync() {
                 tcp_cfg(),
             )
             .unwrap();
-            KvServer::new(KvNode::new(pid, vec![1, 2, 3]), t)
+            let node = ShardedKvNode::from_shards(vec![KvNode::new(pid, vec![1, 2, 3])]);
+            KvServer::new_sharded(node, t)
         })
         .collect();
 

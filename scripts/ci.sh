@@ -41,13 +41,16 @@ stage_test() {
 }
 
 stage_net() {
+    # Stages run as `stage_x || rc=$?`, where `set -e` is off: chain by hand.
     echo "==> [net] wire codec unit + property/corpus tests"
-    cargo test -q -p net --lib
-    cargo test -q -p net --test codec_corpus
+    cargo test -q -p net --lib || return 1
+    cargo test -q -p net --test codec_corpus || return 1
     echo "==> [net] session re-sync semantics (sim + TCP backends agree)"
-    cargo test -q -p net --test session_semantics
+    cargo test -q -p net --test session_semantics || return 1
     echo "==> [net] loopback cluster smoke over real sockets (time-bounded)"
-    NET_SMOKE_OPS=1000 cargo test -q -p net --test loopback three_node_cluster_survives_leader_transport_kill
+    NET_SMOKE_OPS=1000 cargo test -q -p net --test loopback three_node_cluster_survives_leader_transport_kill || return 1
+    echo "==> [net] shipped binaries end to end (server flags, CLI client)"
+    cargo test -q -p net --test server_flags
 }
 
 stage_chaos() {
@@ -108,8 +111,8 @@ stage_storage_faults() {
 }
 
 stage_txn() {
-    echo "==> [txn] transaction e2e over TCP (cas exactly-once, spanning rejection, 2PC)"
-    cargo test -q -p net --test loopback -- retried_cas spanning_transfer cross_shard_transactions
+    echo "==> [txn] transaction e2e over TCP (cas exactly-once, spanning rejection, 2PC, closed-loop txn)"
+    cargo test -q -p net --test loopback -- retried_cas spanning_transfer cross_shard_transactions closed_loop_write_after_a_txn || return 1
     echo "==> [txn] coordinator + transactional state-machine unit tests"
     cargo test -q -p kvstore txn
     cargo test -q -p kvstore cas
