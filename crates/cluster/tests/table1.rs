@@ -117,7 +117,7 @@ fn chained_omni_paxos_single_leader_change_and_full_throughput() {
     assert!(o.recovered_during_partition, "{o:?}");
     // One leader change when the partition hits (§7.2 / Fig. 5c); the
     // initial election counts as the first change.
-    assert!(o.leader_changes <= 2, "{o:?}");
+    assert_eq!(o.leader_changes, 2, "{o:?}");
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn chained_raft_pv_cq_no_leader_changes() {
 fn chained_raft_recovers_with_term_inflation() {
     let o = run(ProtocolKind::Raft, Scenario::Chained);
     assert!(o.recovered_during_partition, "{o:?}");
-    assert!(o.final_rank >= 2, "{o:?}");
+    assert!(o.final_rank > 1, "{o:?}");
 }
 
 #[test]
@@ -220,5 +220,53 @@ fn chained_five_multipaxos_and_vr_livelock() {
     for p in [ProtocolKind::MultiPaxos, ProtocolKind::Vr] {
         let o = run(p, Scenario::ChainedFive);
         assert!(o.leader_changes >= 10, "{o:?}");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Figure 8's shape claims, at the figure's own settings: a refreshed
+// results_fig8.txt is a refresh, not a regression, only while these hold
+// ----------------------------------------------------------------------
+
+/// The first of the seeds `fig8` averages over. The Omni-Paxos and
+/// Multi-Paxos rows these tests read have zero spread across the
+/// figure's seeds, so one seed gives the figure's mean at a third of the
+/// cost.
+const FIG8_SEED: u64 = 11;
+
+#[test]
+fn fig8a_omni_paxos_downtime_is_about_three_election_timeouts() {
+    for timeout in [ms(10), ms(50), ms(500)] {
+        let o = partition_run(
+            ProtocolKind::OmniPaxos,
+            Scenario::QuorumLoss,
+            timeout,
+            sec(12),
+            FIG8_SEED,
+        );
+        let timeouts = o.downtime_us as f64 / timeout as f64;
+        assert!(
+            (3.0..=3.5).contains(&timeouts),
+            "timeout {timeout}us: down for {timeouts:.3} election timeouts"
+        );
+    }
+}
+
+#[test]
+fn fig8c_multipaxos_decides_a_fifth_to_a_third_less_than_omni_paxos() {
+    for partition in [sec(10), sec(20), sec(40)] {
+        let decided = |p| {
+            partition_run(p, Scenario::Chained, TIMEOUT, partition, FIG8_SEED).decided_during as f64
+        };
+        let (mp, omni) = (
+            decided(ProtocolKind::MultiPaxos),
+            decided(ProtocolKind::OmniPaxos),
+        );
+        let fewer = 1.0 - mp / omni;
+        assert!(
+            (0.20..=0.35).contains(&fewer),
+            "partition {partition}us: Multi-Paxos decided {:.1} % fewer",
+            fewer * 100.0
+        );
     }
 }

@@ -633,14 +633,16 @@ impl<C: Command> MpNode<C> {
             return;
         }
         let e = self.p2_contig.entry(from).or_insert(0);
+        let advanced = contig > *e;
         *e = (*e).max(contig);
         let acked = *e;
-        // A follower acking below our streamed window diverged or missed
-        // traffic (partition, stale-leader prefix): the regular stream
-        // only covers `unsent_from..`, so resync it from its ack point —
-        // re-accepting under our ballot both repairs stale slots and lets
-        // its cumulative ack advance.
-        if acked < self.unsent_from {
+        // A follower whose ack stalls below our streamed window diverged or
+        // missed traffic (partition, stale-leader prefix): the regular
+        // stream only covers `unsent_from..`, so resync it from its ack
+        // point — re-accepting under our ballot both repairs stale slots
+        // and lets its cumulative ack advance. An ack that advanced is the
+        // stream working: the rest of the window is still on the wire.
+        if !advanced && acked < self.unsent_from {
             let entries: Vec<(u64, Payload<C>)> = (acked..self.unsent_from)
                 .map(|s| {
                     let (_, v) = self.accepted[s as usize]
@@ -748,20 +750,27 @@ mod tests {
 
     fn run(nodes: &mut [MpNode<u64>], steps: usize) {
         for _ in 0..steps {
-            for n in nodes.iter_mut() {
-                n.tick();
+            step(nodes, |_, _, _| {});
+        }
+    }
+
+    /// One lossless round: tick, collect every node's outgoing messages
+    /// (showing each to `seen`), deliver them all.
+    fn step(nodes: &mut [MpNode<u64>], mut seen: impl FnMut(NodeId, NodeId, &MpMsg<u64>)) {
+        for n in nodes.iter_mut() {
+            n.tick();
+        }
+        let mut inbox = Vec::new();
+        for n in nodes.iter_mut() {
+            let from = n.pid();
+            for (to, m) in n.outgoing_messages() {
+                seen(from, to, &m);
+                inbox.push((from, to, m));
             }
-            let mut inbox = Vec::new();
-            for n in nodes.iter_mut() {
-                let from = n.pid();
-                for (to, m) in n.outgoing_messages() {
-                    inbox.push((from, to, m));
-                }
-            }
-            for (from, to, m) in inbox {
-                if let Some(n) = nodes.iter_mut().find(|n| n.pid() == to) {
-                    n.handle(from, m);
-                }
+        }
+        for (from, to, m) in inbox {
+            if let Some(n) = nodes.iter_mut().find(|n| n.pid() == to) {
+                n.handle(from, m);
             }
         }
     }
@@ -853,6 +862,38 @@ mod tests {
             !nodes[li].is_leader(),
             "old leader must be preempted via Nack gossip"
         );
+    }
+
+    /// Streaming with a window wider than one round of acks: every P2b
+    /// acks less than the leader has already sent, which is no reason to
+    /// resend. Without loss, each slot goes to each follower once.
+    #[test]
+    fn lossless_streaming_sends_each_slot_once() {
+        let mut nodes = cluster(3);
+        run(&mut nodes, 200);
+        let li = nodes.iter().position(|n| n.is_leader()).unwrap();
+        let leader = nodes[li].pid();
+        let mut sends: HashMap<(NodeId, u64), u32> = HashMap::new();
+        let mut count = |from: NodeId, to: NodeId, m: &MpMsg<u64>| {
+            if let (true, MpMsg::P2a { entries, .. }) = (from == leader, m) {
+                for (slot, _) in entries {
+                    *sends.entry((to, *slot)).or_default() += 1;
+                }
+            }
+        };
+        for round in 0..20u64 {
+            for v in 0..5 {
+                assert!(nodes[li].propose(round * 5 + v));
+            }
+            step(&mut nodes, &mut count);
+        }
+        for _ in 0..20 {
+            step(&mut nodes, &mut count);
+        }
+        assert!(nodes.iter().all(|n| n.decided_upto() == 100), "{nodes:?}");
+        assert_eq!(sends.len(), 2 * 100, "every slot reached both followers");
+        let resent = sends.values().filter(|&&k| k > 1).count();
+        assert_eq!(resent, 0, "(follower, slot) pairs sent more than once");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 #   scripts/ci.sh fmt          # one stage
 #   scripts/ci.sh clippy build # several stages, in the given order
 #
-# Stages: fmt clippy build test net chaos shard reads storage-faults txn bench benchmark perf-smoke
+# Stages: fmt clippy build test net chaos shard reads storage-faults txn bench benchmark paper perf-smoke
 # Each stage is timed; a summary table prints at the end and is also
 # written to ci-summary.json (stage, status, seconds) for the workflow
 # to publish as a step summary.
@@ -167,6 +167,32 @@ PY
     return "$smoke_rc"
 }
 
+stage_paper() {
+    # The paper's own numbers (Table 1, Figs 7-9) are deterministic: each
+    # binary must reprint its committed results file byte for byte. A
+    # refresh of a results file needs the shape tests in
+    # crates/cluster/tests/table1.rs green and a stated reason.
+    echo "==> [paper] regenerate Table 1 and Figs 7-9, compare with results_*.txt"
+    cargo build --release -q -p bench --bins || return 1
+    rc=0
+    for fig in table1 fig8 fig9 fig7; do
+        out=$(mktemp)
+        began=$(date +%s)
+        if ! "target/release/$fig" > "$out"; then
+            echo "paper: $fig exited with an error" >&2
+            rc=1
+        elif ! cmp "$out" "results_$fig.txt"; then
+            diff "results_$fig.txt" "$out" || true
+            echo "paper: $fig no longer reproduces results_$fig.txt" >&2
+            rc=1
+        else
+            echo "paper: $fig matches results_$fig.txt ($(($(date +%s) - began))s)"
+        fi
+        rm -f "$out"
+    done
+    return "$rc"
+}
+
 stage_perf_smoke() {
     echo "==> [perf-smoke] open-loop socket burst (quick sweep over TCP loopback)"
     cargo run --release -q -p bench --bin hotpath -- --net-loopback --quick
@@ -220,12 +246,12 @@ write_summary_json() {
 
 STAGES="$*"
 if [ -z "$STAGES" ] || [ "$STAGES" = "all" ]; then
-    STAGES="fmt clippy build test net chaos shard reads storage-faults txn bench benchmark perf-smoke"
+    STAGES="fmt clippy build test net chaos shard reads storage-faults txn bench benchmark paper perf-smoke"
 fi
 
 for s in $STAGES; do
     case "$s" in
-        fmt|clippy|build|test|net|chaos|shard|reads|txn|bench|benchmark)
+        fmt|clippy|build|test|net|chaos|shard|reads|txn|bench|benchmark|paper)
             # Fail fast, but still print the summary table below.
             if ! run_stage "$s"; then
                 break
@@ -242,7 +268,7 @@ for s in $STAGES; do
             fi
             ;;
         *)
-            echo "unknown stage: $s (stages: fmt clippy build test net chaos shard reads storage-faults txn bench benchmark perf-smoke)" >&2
+            echo "unknown stage: $s (stages: fmt clippy build test net chaos shard reads storage-faults txn bench benchmark paper perf-smoke)" >&2
             exit 2
             ;;
     esac
