@@ -15,8 +15,9 @@ use std::time::Instant;
 
 use cluster::client::ClientConfig;
 use cluster::protocol::ProtocolKind;
-use cluster::runner::{Action, RunConfig, Runner};
+use cluster::runner::{RunConfig, Runner};
 use cluster::scenarios::{partition_run, Scenario};
+use cluster::Fault;
 use omnipaxos::{
     BallotLeaderElection, BleConfig, MemoryStorage, OmniPaxos, OmniPaxosConfig, Storage,
 };
@@ -118,7 +119,7 @@ fn reconfiguration_migration(quick: bool) {
                     initial_log: 50_000,
                     initial_entry_size: 160,
                     window_us: sec(1),
-                    schedule: vec![(sec(2), Action::Reconfigure(vec![2, 3, 4, 5, 6]))],
+                    schedule: vec![(sec(2), Fault::ReconfigureTo(vec![2, 3, 4, 5, 6]))],
                     ..Default::default()
                 };
                 let report = Runner::new(config).run();

@@ -24,19 +24,20 @@
 
 use crate::kv_chaos::Sessions;
 use crate::monitor::{breach, Breach};
-use crate::nemesis::{Nemesis, Servers};
 use crate::read_chaos::Reads;
 use crate::schedule::{generate_kv, Fault, ScheduledFault, HEAL};
 use crate::trace::{fingerprint, ChaosReport, Counters, TraceEvent, Violation};
 use crate::txn_chaos::Bank;
 use crate::NodeId;
+use cluster::{Nemesis, Servers};
 use kvstore::{
     shard_config, shard_of_key, KvCommand, KvNode, KvOp, KvResult, ReadMode, ShardedKvNode,
     TXN_CLIENT_FLAG,
 };
+use net::LinkEvent;
 use omnipaxos::service::{OmniPaxosServer, ServerConfig, ServiceMsg};
 use omnipaxos::{FaultyStorage, MemoryStorage, StorageFaultKind};
-use simulator::Rng;
+use simulator::{NetworkConfig, Rng};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Replica storage: in memory, with armable disk failpoints (unarmed, the
@@ -50,6 +51,10 @@ const VOTERS: usize = 3;
 const JOINER: NodeId = VOTERS as NodeId + 1;
 /// Ticks of the fault phase.
 pub const FAULT_TICKS: u64 = 1_500;
+/// Simulated microseconds per tick (timer granularity).
+const TICK_US: u64 = 1_000;
+/// One-way link latency, µs.
+const LATENCY_US: u64 = 100;
 /// Fault-phase tick at which a planned shard move is proposed.
 const MOVE_AT: u64 = 750;
 /// Bounds of the calm start and the converge loop.
@@ -234,10 +239,6 @@ impl Servers for Fleet<'_> {
             .map(|n| n.pid())
     }
 
-    fn reconnected(&mut self, pid: NodeId, peer: NodeId) {
-        self.node(pid).reconnected(peer);
-    }
-
     fn recover(&mut self, pid: NodeId) {
         self.node(pid).fail_recovery();
         self.w.recovered(pid);
@@ -328,8 +329,13 @@ impl Driver {
             stats,
             ..
         } = &mut self.cx;
-        nemesis.deliver(t, |src, dst, msg| {
-            nodes[(dst - 1) as usize].handle(src, msg)
+        nemesis.deliver(t * TICK_US, |pid, ev| {
+            let node = &mut nodes[(pid - 1) as usize];
+            match ev {
+                LinkEvent::Message { from, msg } => node.handle(from, msg),
+                LinkEvent::SessionEstablished { peer, .. } => node.reconnected(peer),
+                LinkEvent::SessionDropped { .. } => {}
+            }
         });
         for (i, node) in nodes.iter_mut().enumerate() {
             let pid = i as NodeId + 1;
@@ -342,8 +348,7 @@ impl Driver {
                 node.tick();
             }
             for (to, msg) in out {
-                let bytes = msg.size_bytes();
-                nemesis.net.send(pid, to, bytes, msg);
+                nemesis.send(pid, to, msg);
             }
             let results = node.take_results();
             for (shard, r) in &results {
@@ -538,7 +543,17 @@ pub fn run(w: Box<dyn Workload>, seed: u64, schedule: &[ScheduledFault]) -> Chao
         .collect();
     let mut d = Driver {
         cx: Cluster {
-            nemesis: Nemesis::new(all.clone(), voters, seed),
+            nemesis: Nemesis::new(
+                NetworkConfig {
+                    nodes: all.clone(),
+                    default_latency_us: LATENCY_US,
+                    jitter_us: 0,
+                    nic_bytes_per_sec: None,
+                    priority_bytes: 256,
+                    seed,
+                },
+                voters,
+            ),
             rng: Rng::seed_from_u64(seed ^ 0x5E55_10D5),
             stats: Counters::default(),
             shards: shape.shards,

@@ -1,22 +1,27 @@
-//! The chaos simulation loop: replicas over the simulated network under a
-//! fault schedule, with continuous invariant checking and trace capture.
+//! The protocol chaos harness: the figures' tick loop ([`cluster::Runner`])
+//! under a seeded fault schedule, with continuous invariant checking and
+//! trace capture.
+//!
+//! The harness adds only a client and a referee to the loop. Its
+//! [`Proposer`] is the loop's client phase: a fresh command every third
+//! tick during the fault phase (every other one handed to a follower),
+//! liveness probes after the forced heal.
+//! After every tick the [`Monitor`] reads the decided batches the loop
+//! polled, each server's leadership, and (every [`SCAN_EVERY`] ticks) the
+//! retained logs.
 
-use crate::buggy::BuggyOmniReplica;
 use crate::monitor::{Breach, Monitor};
-use crate::nemesis::{Nemesis, Servers};
-use crate::schedule::{generate, Fault, ScheduledFault, HEAL};
+use crate::schedule::{generate, ScheduledFault, HEAL};
 use crate::trace::{fingerprint, ChaosReport, Counters, TraceEvent, Violation};
 use crate::NodeId;
-use cluster::protocol::{
-    MpReplica, OmniReplica, ProtoMsg, ProtocolKind, RaftReplica, Replica, VrReplica,
-};
-use cluster::Cmd;
-use omnipaxos::{MigrationScheme, SnapshotData, StorageFaultKind};
-use std::collections::BTreeSet;
+use cluster::protocol::{OmniReplica, ProtocolKind, Replica};
+use cluster::{Cmd, RunConfig, Runner, Workload};
 
 /// Election timeout in ticks (BLE round / Raft election base; the failure
-/// detectors of Multi-Paxos and VR run at 4× this, as in the runner).
+/// detectors of Multi-Paxos and VR run at 4× this, as in the figures).
 const ELECTION_TICKS: u64 = 5;
+/// Simulated microseconds per tick.
+const TICK_US: u64 = 1_000;
 /// How often the retained decided logs are fully re-scanned, in ticks.
 /// Delivered batches, cursors and leadership are checked every tick.
 const SCAN_EVERY: u64 = 8;
@@ -28,7 +33,9 @@ const PROBES: u64 = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bug {
     /// Servers acknowledge decided entries before persisting them; a
-    /// crash loses the decided tail (see [`BuggyOmniReplica`]).
+    /// crash loses the decided tail
+    /// ([`OmniReplica::losing_decided_tail`]). The monitor must flag the
+    /// shrunken decided log as a durability breach.
     AckBeforePersist,
 }
 
@@ -51,8 +58,8 @@ pub struct ChaosConfig {
     /// Injected bug (Omni-Paxos only), for regression tests.
     pub bug: Option<Bug>,
     /// Use the disk-fault schedule profile: a third of the generated
-    /// events arm storage failpoints ([`Fault::DiskFault`]) instead of
-    /// attacking only the network.
+    /// events arm storage failpoints ([`cluster::Fault::DiskFault`])
+    /// instead of attacking only the network.
     pub disk_faults: bool,
 }
 
@@ -73,175 +80,132 @@ impl ChaosConfig {
     }
 }
 
-/// One replica with chaos-specific side doors (compaction, forced
-/// same-membership reconfiguration) that the uniform trait keeps closed.
-enum ChaosNode {
-    Omni(OmniReplica),
-    Buggy(BuggyOmniReplica),
-    Raft(RaftReplica),
-    Mp(MpReplica),
-    Vr(VrReplica),
-}
-
-impl ChaosNode {
-    fn replica(&self) -> &dyn Replica {
-        match self {
-            ChaosNode::Omni(r) => r,
-            ChaosNode::Buggy(r) => r,
-            ChaosNode::Raft(r) => r,
-            ChaosNode::Mp(r) => r,
-            ChaosNode::Vr(r) => r,
-        }
-    }
-
-    fn replica_mut(&mut self) -> &mut dyn Replica {
-        match self {
-            ChaosNode::Omni(r) => r,
-            ChaosNode::Buggy(r) => r,
-            ChaosNode::Raft(r) => r,
-            ChaosNode::Mp(r) => r,
-            ChaosNode::Vr(r) => r,
-        }
-    }
-}
-
-fn build_nodes(cfg: &ChaosConfig) -> Vec<ChaosNode> {
-    let members: Vec<NodeId> = (1..=cfg.n as NodeId).collect();
-    if cfg.bug.is_some() {
-        assert_eq!(
-            cfg.protocol,
-            ProtocolKind::OmniPaxos,
-            "bug injection wraps the Omni-Paxos adapter"
-        );
-    }
-    members
-        .iter()
-        .map(|&pid| match cfg.protocol {
-            ProtocolKind::OmniPaxos | ProtocolKind::OmniPaxosLeaderMigration => {
-                if cfg.bug == Some(Bug::AckBeforePersist) {
-                    ChaosNode::Buggy(BuggyOmniReplica::new(pid, members.clone(), ELECTION_TICKS))
-                } else {
-                    let scheme = if cfg.protocol == ProtocolKind::OmniPaxos {
-                        MigrationScheme::Parallel
-                    } else {
-                        MigrationScheme::LeaderOnly
-                    };
-                    ChaosNode::Omni(OmniReplica::new(
-                        pid,
-                        members.clone(),
-                        scheme,
-                        ELECTION_TICKS,
-                        Vec::new(),
-                    ))
-                }
-            }
-            ProtocolKind::Raft | ProtocolKind::RaftPvCq => ChaosNode::Raft(RaftReplica::new(
-                pid,
-                members.clone(),
-                cfg.protocol == ProtocolKind::RaftPvCq,
-                ELECTION_TICKS,
-                cfg.seed,
-                Vec::new(),
-            )),
-            ProtocolKind::MultiPaxos => {
-                ChaosNode::Mp(MpReplica::new(pid, members.clone(), ELECTION_TICKS * 4))
-            }
-            ProtocolKind::Vr => {
-                ChaosNode::Vr(VrReplica::new(pid, members.clone(), ELECTION_TICKS * 4))
-            }
-        })
-        .collect()
-}
-
-impl Servers for [ChaosNode] {
-    fn leader(&self, crashed: &BTreeSet<NodeId>) -> Option<NodeId> {
-        self.iter()
-            .map(ChaosNode::replica)
-            .filter(|r| !crashed.contains(&r.pid()) && r.is_leader())
-            .max_by_key(|r| r.leader_rank())
-            .map(|r| r.pid())
-    }
-
-    fn reconnected(&mut self, pid: NodeId, peer: NodeId) {
-        self[(pid - 1) as usize].replica_mut().reconnected(peer);
-    }
-
-    fn recover(&mut self, pid: NodeId) {
-        self[(pid - 1) as usize].replica_mut().fail_recovery();
-    }
-
-    fn is_halted(&self, pid: NodeId) -> bool {
-        self[(pid - 1) as usize].replica().is_halted()
-    }
-
-    /// Snapshot-compact at everything applied (Omni-Paxos only). The
-    /// snapshot payload is an opaque marker: the harness replicates plain
-    /// commands, so there is no state machine to serialize — what matters
-    /// is that the log prefix is gone and lagging peers must adopt the
-    /// snapshot instead of fetching entries.
-    fn compact(&mut self, pid: NodeId) -> String {
-        let ChaosNode::Omni(r) = &mut self[(pid - 1) as usize] else {
-            return "(nothing to trim)".to_string();
-        };
-        let upto = r.server_ref().applied_cursor();
-        let data: SnapshotData = std::sync::Arc::from(&b"chaos-snapshot"[..]);
-        if upto > r.server_ref().log_start() && r.server().provide_snapshot(upto, data).is_ok() {
-            format!("upto={upto}")
-        } else {
-            "(nothing to trim)".to_string()
-        }
-    }
-
-    /// Submit a same-membership reconfiguration (software-upgrade style,
-    /// §6.1). Bypasses the adapter's duplicate-membership guard, which
-    /// exists for the runner's retry loop, not for chaos injection.
-    fn reconfigure(&mut self, pid: NodeId, members: Vec<NodeId>) -> bool {
-        match &mut self[(pid - 1) as usize] {
-            ChaosNode::Omni(r) => r.server().reconfigure(members).is_ok(),
-            ChaosNode::Raft(r) => r.reconfigure(members),
-            _ => false,
-        }
-    }
-
-    fn arm_disk(&mut self, pid: NodeId, kind: StorageFaultKind) -> Option<String> {
-        self[(pid - 1) as usize]
-            .replica_mut()
-            .inject_disk_fault(kind)
-            .then(String::new)
-    }
-}
-
-/// The live simulation state of one chaos run.
-struct Sim {
-    nodes: Vec<ChaosNode>,
-    nemesis: Nemesis<ProtoMsg>,
+/// The client phase of a chaos tick, and the monitor its proposals feed.
+struct Proposer {
     monitor: Monitor,
+    /// The next command id; re-used until some server accepts it.
+    next_id: u64,
+    proposed: u64,
+    cap: u64,
+    /// After the forced heal: the probe ids, and the tick they were last
+    /// (re)submitted at.
+    probes: Vec<u64>,
+    probed_at: Option<u64>,
+}
+
+impl Proposer {
+    /// Every other command goes to a live follower first: an Omni-Paxos
+    /// follower buffers it and forwards it to its leader; the baselines
+    /// refuse, and the command goes to the leader.
+    fn propose_next(&mut self, run: &mut Runner) {
+        let id = self.next_id;
+        let follower = (id % 2 == 1)
+            .then(|| (run.pids()).find(|&p| run.live(p) && !run.replica(p).is_leader()))
+            .flatten();
+        let leader = run.leader();
+        let mut propose_at = |p: Option<NodeId>| p.is_some_and(|p| run.propose(p, Cmd::noop(id)));
+        if propose_at(follower) || propose_at(leader) {
+            self.monitor.on_proposed(id);
+            self.next_id += 1;
+            self.proposed += 1;
+        }
+    }
+
+    /// (Re-)propose the probes not everyone has yet, every 200 ticks;
+    /// duplicate decides of one id are legal (client-level retries).
+    fn reprobe(&mut self, run: &mut Runner, t: u64) {
+        if self.probed_at.is_some_and(|at| t - at < 200) {
+            return;
+        }
+        let Some(leader) = run.leader() else {
+            return;
+        };
+        let mut submitted = false;
+        for &id in &self.probes {
+            if !self.everyone_has(run, id) && run.propose(leader, Cmd::noop(id)) {
+                self.monitor.on_proposed(id);
+                submitted = true;
+            }
+        }
+        if submitted {
+            self.probed_at = Some(t);
+        }
+    }
+
+    fn everyone_has(&self, run: &Runner, id: u64) -> bool {
+        run.pids().all(|p| self.monitor.has_delivered(p, id))
+    }
+}
+
+impl Workload for Proposer {
+    fn step(&mut self, run: &mut Runner) {
+        let t = run.now() / TICK_US;
+        if !self.probes.is_empty() {
+            self.reprobe(run, t);
+        } else if self.proposed < self.cap && t.is_multiple_of(3) {
+            self.propose_next(run);
+        }
+    }
+}
+
+/// One chaos run in progress: the loop, its client, and the record.
+struct Chaos {
+    run: Runner,
+    proposer: Proposer,
     trace: Vec<TraceEvent>,
     last_epoch: Vec<Option<(u64, NodeId)>>,
-    next_id: u64,
-    proposed_count: u64,
     violation: Option<Violation>,
 }
 
-impl Sim {
-    fn new(cfg: &ChaosConfig) -> Self {
+impl Chaos {
+    fn new(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> Self {
         let members: Vec<NodeId> = (1..=cfg.n as NodeId).collect();
-        Sim {
-            nodes: build_nodes(cfg),
-            nemesis: Nemesis::new(members.clone(), members.clone(), cfg.seed),
-            monitor: Monitor::new(cfg.n),
+        let config = RunConfig {
+            protocol: cfg.protocol,
+            n: cfg.n,
+            tick_us: TICK_US,
+            election_timeout_us: ELECTION_TICKS * TICK_US,
+            // Faults scheduled past the horizon never fire: the forced
+            // heal ends the fault phase.
+            schedule: (schedule.iter())
+                .filter(|f| f.at_tick <= cfg.horizon_ticks)
+                .map(|f| (f.at_tick * TICK_US, f.fault.clone()))
+                .collect(),
+            seed: cfg.seed,
+            ..RunConfig::default()
+        };
+        let run = match cfg.bug {
+            Some(Bug::AckBeforePersist) => {
+                assert_eq!(
+                    cfg.protocol,
+                    ProtocolKind::OmniPaxos,
+                    "bug injection wraps the Omni-Paxos adapter"
+                );
+                let replicas = (members.iter())
+                    .map(|&pid| {
+                        let r =
+                            OmniReplica::losing_decided_tail(pid, members.clone(), ELECTION_TICKS);
+                        Box::new(r) as Box<dyn Replica>
+                    })
+                    .collect();
+                Runner::with_replicas(config, replicas)
+            }
+            None => Runner::new(config),
+        };
+        Chaos {
+            run,
+            proposer: Proposer {
+                monitor: Monitor::new(cfg.n),
+                next_id: 0,
+                proposed: 0,
+                cap: cfg.propose_cap,
+                probes: Vec::new(),
+                probed_at: None,
+            },
             trace: Vec::new(),
             last_epoch: vec![None; cfg.n],
-            next_id: 0,
-            proposed_count: 0,
             violation: None,
         }
-    }
-
-    /// Index of the freshest live leadership claimant.
-    fn leader_idx(&self) -> Option<usize> {
-        let leader = self.nodes.leader(&self.nemesis.crashed)?;
-        Some((leader - 1) as usize)
     }
 
     fn breach_at(&mut self, tick: u64, b: Breach) {
@@ -254,130 +218,75 @@ impl Sim {
         });
     }
 
-    /// Deliver everything due in the tick ending at `t`.
-    fn deliver(&mut self, t: u64) {
-        let nodes = &mut self.nodes;
-        self.nemesis.deliver(t, |src, dst, msg| {
-            nodes[(dst - 1) as usize].replica_mut().handle(src, msg)
-        });
+    /// Fire `fault` between ticks and trace it.
+    fn fire(&mut self, tick: u64, fault: &cluster::Fault) {
+        let desc = self.run.fire(fault);
+        self.trace.push(TraceEvent::Fault { tick, desc });
     }
 
-    /// Fire one fault and record its resolved form in the trace.
-    fn fire(&mut self, t: u64, fault: &Fault) {
-        let desc = self.nemesis.fire(fault, self.nodes.as_mut_slice());
-        self.trace.push(TraceEvent::Fault { tick: t, desc });
-    }
-
-    /// Propose one command at the current leader; id is re-used until some
-    /// leader accepts it.
-    fn propose_next(&mut self) -> bool {
-        let Some(li) = self.leader_idx() else {
-            return false;
-        };
-        let id = self.next_id;
-        if self.nodes[li].replica_mut().propose(Cmd::noop(id)) {
-            self.monitor.on_proposed(id);
-            self.next_id += 1;
-            self.proposed_count += 1;
-            true
-        } else {
-            false
+    /// Run one tick of the loop and check what it did.
+    fn step(&mut self) {
+        self.run.step(&mut self.proposer);
+        let t = self.run.now() / TICK_US;
+        for desc in self.run.fired() {
+            let desc = desc.clone();
+            self.trace.push(TraceEvent::Fault { tick: t, desc });
+        }
+        if let Err(b) = self.check(t) {
+            self.breach_at(t, b);
         }
     }
 
-    /// Timers, outgoing traffic, decided drains and per-tick checks.
-    fn step_rest(&mut self, t: u64) {
-        for i in 0..self.nodes.len() {
-            let pid = self.nemesis.members[i];
-            if self.nemesis.live(pid) {
-                self.nodes[i].replica_mut().tick();
-            }
+    fn check(&mut self, t: u64) -> Result<(), Breach> {
+        // Fail-stop contract: a server that failed to persist must look
+        // crashed.
+        if let Some(&(pid, n)) = self.run.halted_sends().first() {
+            return Err(Breach {
+                invariant: "fail-stop",
+                detail: format!(
+                    "server {pid} emitted {n} message(s) while halted on a storage error"
+                ),
+            });
         }
-        for i in 0..self.nodes.len() {
-            let from = self.nemesis.members[i];
-            let out = self.nodes[i].replica_mut().outgoing();
-            if !self.nemesis.live(from) {
-                continue; // a down server sends nothing; backlog discarded
-            }
-            if self.nodes[i].replica().is_halted() {
-                // Fail-stop contract: a server that failed to persist must
-                // look crashed — any message it emits could be an ack of
-                // state its disk never took.
-                if !out.is_empty() {
-                    self.breach_at(
-                        t,
-                        Breach {
-                            invariant: "fail-stop",
-                            detail: format!(
-                                "server {from} emitted {} message(s) while halted \
-                                 on a storage error",
-                                out.len()
-                            ),
-                        },
-                    );
-                    return;
-                }
-                continue;
-            }
-            for (to, msg) in out {
-                if to >= 1 && to <= self.nemesis.members.len() as NodeId {
-                    let bytes = msg.size_bytes();
-                    self.nemesis.net.send(from, to, bytes, msg);
-                }
-            }
-        }
-        for i in 0..self.nodes.len() {
-            let pid = self.nemesis.members[i];
-            if !self.nemesis.live(pid) {
-                continue;
-            }
-            let base = self.nodes[i].replica().decided_base();
-            let ids = self.nodes[i].replica_mut().poll_decided();
-            if !ids.is_empty() {
+        let (run, monitor) = (&self.run, &mut self.proposer.monitor);
+        for d in run.decided() {
+            if !d.ids.is_empty() {
                 self.trace.push(TraceEvent::Decide {
                     tick: t,
-                    pid,
-                    base,
-                    ids: ids.clone(),
+                    pid: d.pid,
+                    base: d.base,
+                    ids: d.ids.clone(),
                 });
             }
-            if let Err(b) = self.monitor.on_decided(pid, base, &ids) {
-                self.breach_at(t, b);
-                return;
-            }
-            if let Err(b) = self.monitor.check_leadership(self.nodes[i].replica()) {
-                self.breach_at(t, b);
-                return;
-            }
-            let epoch = self.nodes[i].replica().leader_epoch();
-            if epoch != self.last_epoch[i] {
+            monitor.on_decided(d.pid, d.base, &d.ids)?;
+            let r = run.replica(d.pid);
+            monitor.check_leadership(r)?;
+            let epoch = r.leader_epoch();
+            let last = &mut self.last_epoch[(d.pid - 1) as usize];
+            if epoch != *last {
                 if let Some((e, o)) = epoch {
                     self.trace.push(TraceEvent::Leader {
                         tick: t,
-                        pid,
+                        pid: d.pid,
                         epoch: e,
                         owner: o,
                     });
                 }
-                self.last_epoch[i] = epoch;
+                *last = epoch;
             }
         }
         if t.is_multiple_of(SCAN_EVERY) {
-            self.scan_all(t);
+            self.scan_all()?;
         }
+        Ok(())
     }
 
     /// Full retained-log cross-check of every live server.
-    fn scan_all(&mut self, t: u64) {
-        for i in 0..self.nodes.len() {
-            if !self.nemesis.live(self.nemesis.members[i]) {
-                continue;
-            }
-            if let Err(b) = self.monitor.scan_retained(self.nodes[i].replica()) {
-                self.breach_at(t, b);
-                return;
-            }
+    fn scan_all(&mut self) -> Result<(), Breach> {
+        for pid in self.run.pids().filter(|&p| self.run.live(p)) {
+            (self.proposer.monitor).scan_retained(self.run.replica(pid))?;
         }
+        Ok(())
     }
 }
 
@@ -395,7 +304,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosReport {
 
 /// Run one specific schedule (replay and minimization entry point).
 pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosReport {
-    let mut sim = Sim::new(cfg);
+    let mut sim = Chaos::new(cfg, schedule);
     sim.trace.push(TraceEvent::Phase {
         tick: 0,
         desc: format!(
@@ -405,18 +314,8 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
             cfg.seed
         ),
     });
-    let mut si = 0;
-    for t in 1..=cfg.horizon_ticks {
-        sim.deliver(t);
-        while si < schedule.len() && schedule[si].at_tick <= t {
-            let fault = schedule[si].fault.clone();
-            si += 1;
-            sim.fire(t, &fault);
-        }
-        if sim.proposed_count < cfg.propose_cap && t % 3 == 0 {
-            sim.propose_next();
-        }
-        sim.step_rest(t);
+    for _ in 1..=cfg.horizon_ticks {
+        sim.step();
         if sim.violation.is_some() {
             break;
         }
@@ -434,30 +333,11 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
             tick: t0,
             desc: "forced heal; liveness probes".to_string(),
         });
-        let probes: Vec<u64> = (0..PROBES).map(|k| sim.next_id + k).collect();
-        sim.next_id += PROBES;
-        let mut last_submit = 0u64;
+        let p = &mut sim.proposer;
+        p.probes = (p.next_id..p.next_id + PROBES).collect();
+        p.next_id += PROBES;
         for t in t0 + 1..=t0 + cfg.liveness_ticks {
-            sim.deliver(t);
-            // (Re-)propose probes that not everyone has yet; duplicate
-            // decides of the same id are legal (client-level retries).
-            if last_submit == 0 || t - last_submit >= 200 {
-                if let Some(li) = sim.leader_idx() {
-                    let mut submitted = false;
-                    for &id in &probes {
-                        let everyone =
-                            (sim.nemesis.members.iter()).all(|&p| sim.monitor.has_delivered(p, id));
-                        if !everyone && sim.nodes[li].replica_mut().propose(Cmd::noop(id)) {
-                            sim.monitor.on_proposed(id);
-                            submitted = true;
-                        }
-                    }
-                    if submitted {
-                        last_submit = t;
-                    }
-                }
-            }
-            sim.step_rest(t);
+            sim.step();
             if sim.violation.is_some() {
                 break;
             }
@@ -466,19 +346,14 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
             // contract says faults stop at the forced heal, so a server
             // that halts during the probe phase is restarted immediately
             // (its unsynced tail rolls back; it re-syncs via PrepareReq).
-            for p in sim.nemesis.restart_halted(sim.nodes.as_mut_slice()) {
+            for p in sim.run.restart_halted() {
                 sim.trace.push(TraceEvent::Fault {
                     tick: t,
                     desc: format!("restart {p} (disk fault fired after the heal)"),
                 });
             }
-            let done = probes.iter().all(|&id| {
-                sim.nemesis
-                    .members
-                    .iter()
-                    .all(|&p| sim.monitor.has_delivered(p, id))
-            });
-            if done {
+            let p = &sim.proposer;
+            if p.probes.iter().all(|&id| p.everyone_has(&sim.run, id)) {
                 converged_in = Some(t - t0);
                 sim.trace.push(TraceEvent::Phase {
                     tick: t,
@@ -489,26 +364,32 @@ pub fn run_schedule(cfg: &ChaosConfig, schedule: &[ScheduledFault]) -> ChaosRepo
         }
         if sim.violation.is_none() && converged_in.is_none() {
             let tick = t0 + cfg.liveness_ticks;
+            let detail = format!(
+                "probes {:?} were not decided at every server within {} ticks after the \
+                 full heal",
+                sim.proposer.probes, cfg.liveness_ticks
+            );
             sim.breach_at(
                 tick,
                 Breach {
                     invariant: "liveness",
-                    detail: format!(
-                        "probes {probes:?} were not decided at every server within \
-                         {} ticks after the full heal",
-                        cfg.liveness_ticks
-                    ),
+                    detail,
                 },
             );
         }
     }
 
     if sim.violation.is_none() {
-        sim.scan_all(cfg.horizon_ticks + cfg.liveness_ticks);
+        if let Err(b) = sim.scan_all() {
+            sim.breach_at(cfg.horizon_ticks + cfg.liveness_ticks, b);
+        }
     }
 
     let mut stats = Counters::default();
-    stats.add("decided_positions", sim.monitor.decided_positions());
+    stats.add(
+        "decided_positions",
+        sim.proposer.monitor.decided_positions(),
+    );
     if let Some(ticks) = converged_in {
         stats.add("converge_ticks", ticks);
     }

@@ -1,71 +1,11 @@
-//! Fault schedules: the event vocabulary and their seeded generation.
+//! Fault schedules: seeded generation over the one fault vocabulary
+//! ([`Fault`], fired by [`cluster::Nemesis`]).
 
 use crate::NodeId;
+pub use cluster::nemesis::{Fault, HEAL};
 use omnipaxos::StorageFaultKind;
 use simulator::Rng;
 use std::collections::BTreeSet;
-
-/// One injectable fault. Leader-relative patterns (`QuorumLoss`,
-/// `ConstrainedStage*`, `CrashLeader`) are resolved against the live
-/// leader when they fire, as the paper's testbed scripts did — the same
-/// schedule therefore means the same *shape*, not the same pids, across
-/// protocols.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Fault {
-    /// Cut both directions between two servers.
-    CutLink(NodeId, NodeId),
-    /// Heal both directions (runs the session-drop/reconnect protocol).
-    HealLink(NodeId, NodeId),
-    /// Heal every cut link.
-    HealAll,
-    /// Cut the link *and* lose the bytes already on the wire — a TCP
-    /// session teardown rather than a silent blackhole.
-    SessionDrop(NodeId, NodeId),
-    /// §2a: everyone keeps only their link to a non-leader hub.
-    QuorumLoss,
-    /// §2b stage 1: disconnect a designated hub from the leader so the
-    /// hub's log goes stale.
-    ConstrainedStage1,
-    /// §2b stage 2: fully partition the old leader; everyone else keeps
-    /// only the (stale) hub.
-    ConstrainedStage2,
-    /// §2c: connect the servers in a pid-line; with ≥4 servers no
-    /// quorum-connected server exists.
-    ChainedLine,
-    /// Crash a specific server (volatile state lost, storage kept).
-    Crash(NodeId),
-    /// Crash whoever currently leads.
-    CrashLeader,
-    /// Recover a crashed server from its persistent state.
-    Recover(NodeId),
-    /// Recover every crashed server.
-    RecoverAll,
-    /// Raise delivery jitter to `µs`, reordering across links (never
-    /// within one — per-link FIFO is part of the link model, §3).
-    DelaySpike(u64),
-    /// Jitter back to zero.
-    DelayCalm,
-    /// Snapshot-compact one server's log at everything it has applied
-    /// (Omni-Paxos only; a no-op for protocols without compaction).
-    Compact(NodeId),
-    /// Submit a same-membership reconfiguration to the current leader
-    /// (Omni-Paxos stop-sign handover / Raft joint change; no-op for
-    /// Multi-Paxos and VR).
-    Reconfigure,
-    /// Arm a disk fault at one server: its next matching storage
-    /// operation fails, after which the server must fail-stop — ack
-    /// nothing, emit nothing — until a `Recover` heals it. Protocol
-    /// adapters without a fallible-storage model degrade this to a plain
-    /// crash, which is the same externally visible behaviour.
-    DiskFault(NodeId, StorageFaultKind),
-    /// Arm a disk fault at whoever currently leads — the worst case: the
-    /// one server everyone waits on silently stops persisting.
-    DiskFaultLeader(StorageFaultKind),
-}
-
-/// The forced heal that ends every fault phase: calm the links, restart
-/// every crashed or disk-halted server, heal every cut.
-pub(crate) const HEAL: [Fault; 3] = [Fault::DelayCalm, Fault::RecoverAll, Fault::HealAll];
 
 /// A fault bound to the simulation tick at which it fires.
 #[derive(Debug, Clone, PartialEq, Eq)]

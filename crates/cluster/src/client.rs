@@ -4,7 +4,7 @@
 //! the raw signal behind the paper's throughput and down-time plots.
 
 use crate::metrics::{DecideLog, LatencyHistogram};
-use crate::protocol::Replica;
+use crate::runner::{Runner, Workload};
 use crate::Cmd;
 use simulator::SimTime;
 use std::collections::{HashMap, HashSet};
@@ -76,40 +76,45 @@ impl Client {
         self.decides.total()
     }
 
-    /// Currently outstanding proposals.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+    /// Mark `id` complete; returns the time of its last proposal attempt,
+    /// or `None` for duplicates and foreign ids.
+    fn complete(&mut self, id: u64) -> Option<SimTime> {
+        if id < self.frontier || self.done_above.contains(&id) {
+            return None; // duplicate or pre-loaded history
+        }
+        let proposed_at = self.outstanding.remove(&id).map(|(_, at)| at).unwrap_or(0);
+        self.done_above.insert(id);
+        while self.done_above.remove(&self.frontier) {
+            self.frontier += 1;
+        }
+        Some(proposed_at)
     }
+}
 
-    /// One client step per simulation tick: collect decided replies, top up
-    /// the window, retry losses.
-    pub fn step(&mut self, now: SimTime, replicas: &mut [Box<dyn Replica>]) {
+impl Workload for Client {
+    /// Collect decided replies, top up the window at the live leader,
+    /// retry losses.
+    fn step(&mut self, run: &mut Runner) {
         self.ticks += 1;
-        // 1. Collect decided replies from every server (the client counts a
-        //    command once, at its first decided reply).
-        for r in replicas.iter_mut() {
-            for id in r.poll_decided() {
+        let now = run.now();
+        // 1. Count a command once, at its first decided reply anywhere.
+        for d in run.decided() {
+            for &id in &d.ids {
                 if let Some(proposed_at) = self.complete(id) {
                     self.decides.record(now);
                     self.latencies.record(now.saturating_sub(proposed_at));
                 }
             }
         }
-        // 2. Find the freshest leader claimant to propose to.
-        let leader = replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_leader())
-            .max_by_key(|(_, r)| r.leader_rank())
-            .map(|(i, _)| i);
-        let Some(li) = leader else {
+        // 2. Propose to the freshest live leader claimant.
+        let Some(leader) = run.leader() else {
             return;
         };
         // 3. Top up to CP outstanding (bounded per tick).
         let mut budget = self.config.max_inject_per_tick;
         while self.outstanding.len() < self.config.cp && budget > 0 {
             let cmd = Cmd::sized(self.next_id, self.config.entry_size);
-            if !replicas[li].propose(cmd) {
+            if !run.propose(leader, cmd) {
                 break;
             }
             self.outstanding.insert(self.next_id, (self.ticks, now));
@@ -127,25 +132,11 @@ impl Client {
                 .collect();
             for id in stale.into_iter().take(budget.max(64)) {
                 let cmd = Cmd::sized(id, self.config.entry_size);
-                if replicas[li].propose(cmd) {
+                if run.propose(leader, cmd) {
                     self.outstanding.insert(id, (self.ticks, now));
                 }
             }
         }
-    }
-
-    /// Mark `id` complete; returns the time of its last proposal attempt,
-    /// or `None` for duplicates and foreign ids.
-    fn complete(&mut self, id: u64) -> Option<SimTime> {
-        if id < self.frontier || self.done_above.contains(&id) {
-            return None; // duplicate or pre-loaded history
-        }
-        let proposed_at = self.outstanding.remove(&id).map(|(_, at)| at).unwrap_or(0);
-        self.done_above.insert(id);
-        while self.done_above.remove(&self.frontier) {
-            self.frontier += 1;
-        }
-        Some(proposed_at)
     }
 }
 

@@ -8,8 +8,13 @@
 //!   per protocol, so experiments are protocol-agnostic.
 //! * [`client`] — the closed-loop client with `CP` concurrent proposals
 //!   (the paper's workload parameter), with retry on loss.
-//! * [`runner`] — the simulation loop: ticks, deliveries, partition
-//!   schedule, reconfiguration triggers, metrics.
+//! * [`runner`] — the one simulation loop ([`Runner::step`]): deliver,
+//!   fire, tick, client, send. The figures, the protocol chaos harness and
+//!   the root safety tests all run on it.
+//! * [`nemesis`] — the one fault vocabulary ([`Fault`]) and the one place
+//!   a fault is fired ([`Nemesis::fire`]), over the [`net::SimHub`]: cuts
+//!   and heals emit the TCP transport's session events, crashes drop
+//!   in-flight traffic, jitter reorders across links.
 //! * [`scenarios`] — the quorum-loss, constrained-election and chained
 //!   partial partitions of §2, resolved against the live leader at
 //!   injection time exactly as the testbed scripts did.
@@ -19,6 +24,7 @@
 pub mod client;
 pub mod cmd;
 pub mod metrics;
+pub mod nemesis;
 pub mod protocol;
 pub mod runner;
 pub mod scenarios;
@@ -26,8 +32,9 @@ pub mod scenarios;
 pub use client::{Client, ClientConfig};
 pub use cmd::Cmd;
 pub use metrics::RunReport;
+pub use nemesis::{Fault, Nemesis, Servers};
 pub use protocol::{ProtocolKind, Replica};
-pub use runner::{Action, RunConfig, Runner};
+pub use runner::{Decided, RunConfig, Runner, Workload};
 
 /// Server identifier (shared across all member crates).
 pub type NodeId = u64;

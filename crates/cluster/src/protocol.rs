@@ -61,21 +61,15 @@ pub enum ProtoMsg {
     Vr(Box<VrMsg<Cmd>>),
 }
 
-impl ProtoMsg {
-    /// Approximate wire size in bytes.
-    pub fn size_bytes(&self) -> usize {
+/// Approximate wire size in bytes.
+impl net::MsgSize for ProtoMsg {
+    fn size_bytes(&self) -> usize {
         match self {
             ProtoMsg::Omni(m) => m.size_bytes(),
             ProtoMsg::Raft(m) => m.size_bytes(),
             ProtoMsg::Mp(m) => m.size_bytes(),
             ProtoMsg::Vr(m) => m.size_bytes(),
         }
-    }
-}
-
-impl net::MsgSize for ProtoMsg {
-    fn size_bytes(&self) -> usize {
-        ProtoMsg::size_bytes(self)
     }
 }
 
@@ -88,7 +82,8 @@ pub trait Replica {
     fn handle(&mut self, from: NodeId, msg: ProtoMsg);
     /// Drain outgoing messages.
     fn outgoing(&mut self) -> Vec<(NodeId, ProtoMsg)>;
-    /// Propose a command (only succeeds where the protocol accepts it).
+    /// Propose a command (only succeeds where the protocol accepts it:
+    /// at the leader, or at an Omni-Paxos follower, which forwards it).
     fn propose(&mut self, cmd: Cmd) -> bool;
     /// Ids of commands newly decided at this server.
     fn poll_decided(&mut self) -> Vec<u64>;
@@ -109,14 +104,20 @@ pub trait Replica {
     fn reconfigure(&mut self, _new_nodes: Vec<NodeId>) -> bool {
         false
     }
-    /// Has this server completed all requested reconfigurations?
-    fn reconfig_done(&self) -> bool {
-        true
-    }
     /// Is this server operating in a configuration with exactly
     /// `new_nodes` as members?
     fn reconfigured_to(&self, _new_nodes: &[NodeId]) -> bool {
         false
+    }
+    /// Start a same-membership reconfiguration (a software upgrade,
+    /// §6.1); `false` if unsupported here.
+    fn upgrade(&mut self) -> bool {
+        false
+    }
+    /// Snapshot-compact the log at everything applied; the new log start,
+    /// or `None` if nothing was trimmed (or the protocol cannot).
+    fn compact(&mut self) -> Option<u64> {
+        None
     }
 
     // ---- Chaos-harness observation hooks ------------------------------
@@ -180,7 +181,16 @@ pub struct OmniReplica {
     server: OmniPaxosServer<Cmd, ChaosStorage>,
     leader_changes: u64,
     last_leader: Option<omnipaxos::Ballot>,
-    reconfigs_requested: u32,
+    lossy: Option<LossyRecovery>,
+}
+
+/// The ack-before-persist bug: a crash loses the last `lost` decided
+/// entries, as a write-behind store without fsync-before-ack would. The
+/// server rebuilds as a fresh member of `nodes` from the shortened log.
+struct LossyRecovery {
+    lost: usize,
+    nodes: Vec<NodeId>,
+    hb_timeout_ticks: u64,
 }
 
 impl OmniReplica {
@@ -210,7 +220,7 @@ impl OmniReplica {
             server,
             leader_changes: 0,
             last_leader: None,
-            reconfigs_requested: 0,
+            lossy: None,
         }
     }
 
@@ -225,18 +235,25 @@ impl OmniReplica {
             server: OmniPaxosServer::new_joiner(cfg),
             leader_changes: 0,
             last_leader: None,
-            reconfigs_requested: 0,
+            lossy: None,
         }
     }
 
-    /// Access the wrapped server (tests, invariant checks).
-    pub fn server(&mut self) -> &mut OmniPaxosServer<Cmd, ChaosStorage> {
-        &mut self.server
-    }
-
-    /// Shared access to the wrapped server (invariant observation).
-    pub fn server_ref(&self) -> &OmniPaxosServer<Cmd, ChaosStorage> {
-        &self.server
+    /// An initial member with the ack-before-persist bug: it acknowledges
+    /// and delivers decided entries before they are durable, so each
+    /// crash loses the last `lost` of them. For harness regression tests —
+    /// the chaos monitor must catch the shrunken decided log. Only
+    /// reproducible while the full log is retained: after compaction the
+    /// lost prefix could not be re-seeded, so recovery is correct there.
+    pub fn losing_decided_tail(pid: NodeId, nodes: Vec<NodeId>, hb_timeout_ticks: u64) -> Self {
+        let scheme = MigrationScheme::Parallel;
+        let mut r = Self::new(pid, nodes.clone(), scheme, hb_timeout_ticks, Vec::new());
+        r.lossy = Some(LossyRecovery {
+            lost: 2,
+            nodes,
+            hb_timeout_ticks,
+        });
+        r
     }
 }
 
@@ -269,8 +286,9 @@ impl Replica for OmniReplica {
             .collect()
     }
 
+    /// A follower buffers the command and forwards it to its leader.
     fn propose(&mut self, cmd: Cmd) -> bool {
-        self.server.is_leader() && self.server.propose(cmd).is_ok()
+        self.server.propose(cmd).is_ok()
     }
 
     fn poll_decided(&mut self) -> Vec<u64> {
@@ -294,25 +312,27 @@ impl Replica for OmniReplica {
     }
 
     fn fail_recovery(&mut self) {
-        self.server.fail_recovery();
+        match self.lossy.take() {
+            Some(bug) if self.server.log_start() == 0 => {
+                let log = self.server.log();
+                let keep = log.len().saturating_sub(bug.lost);
+                let (pid, scheme) = (self.pid(), MigrationScheme::Parallel);
+                let log = log[..keep].to_vec();
+                *self = Self::new(pid, bug.nodes.clone(), scheme, bug.hb_timeout_ticks, log);
+                self.lossy = Some(bug);
+            }
+            lossy => {
+                self.lossy = lossy;
+                self.server.fail_recovery();
+            }
+        }
     }
 
     fn reconfigure(&mut self, new_nodes: Vec<NodeId>) -> bool {
-        // The harness retries reconfiguration requests; reject duplicates
+        // The runner retries reconfiguration requests; reject duplicates
         // of the membership we already run (the library itself allows
         // same-membership changes for software upgrades, §6.1).
-        if self.reconfigured_to(&new_nodes) {
-            return false;
-        }
-        let ok = self.server.reconfigure(new_nodes).is_ok();
-        if ok {
-            self.reconfigs_requested += 1;
-        }
-        ok
-    }
-
-    fn reconfig_done(&self) -> bool {
-        self.server.reconfigurations() >= self.reconfigs_requested
+        !self.reconfigured_to(&new_nodes) && self.server.reconfigure(new_nodes).is_ok()
     }
 
     fn reconfigured_to(&self, new_nodes: &[NodeId]) -> bool {
@@ -321,6 +341,24 @@ impl Replica for OmniReplica {
         mine.sort_unstable();
         want.sort_unstable();
         self.server.role() == omnipaxos::ServerRole::Active && mine == want
+    }
+
+    /// Bypasses [`Replica::reconfigure`]'s duplicate-membership guard,
+    /// which exists for the runner's retry loop.
+    fn upgrade(&mut self) -> bool {
+        let nodes = self.server.nodes().to_vec();
+        self.server.reconfigure(nodes).is_ok()
+    }
+
+    /// The snapshot payload is an opaque marker: the adapter replicates
+    /// plain commands, so there is no state machine to serialize — what
+    /// matters is that the log prefix is gone and lagging peers must adopt
+    /// the snapshot instead of fetching entries.
+    fn compact(&mut self) -> Option<u64> {
+        let upto = self.server.applied_cursor();
+        let data: omnipaxos::SnapshotData = std::sync::Arc::from(&b"chaos-snapshot"[..]);
+        (upto > self.server.log_start() && self.server.provide_snapshot(upto, data).is_ok())
+            .then_some(upto)
     }
 
     fn decided_base(&self) -> u64 {
@@ -372,9 +410,6 @@ impl Replica for OmniReplica {
 /// Adapter around [`RaftNode`].
 pub struct RaftReplica {
     node: RaftNode<Cmd>,
-    reconfigs_requested: u32,
-    reconfigs_done: u32,
-    was_reconfiguring: bool,
     /// Commands delivered via `poll_decided` so far (absolute cursor in
     /// command positions, noops/config entries excluded).
     delivered: u64,
@@ -406,18 +441,7 @@ impl RaftReplica {
             delivered = n.poll_decided().len() as u64;
             n
         };
-        RaftReplica {
-            node,
-            reconfigs_requested: 0,
-            reconfigs_done: 0,
-            was_reconfiguring: false,
-            delivered,
-        }
-    }
-
-    /// Access the wrapped node.
-    pub fn node(&mut self) -> &mut RaftNode<Cmd> {
-        &mut self.node
+        RaftReplica { node, delivered }
     }
 }
 
@@ -428,10 +452,6 @@ impl Replica for RaftReplica {
 
     fn tick(&mut self) {
         self.node.tick();
-        if self.was_reconfiguring && !self.node.reconfiguring() {
-            self.reconfigs_done += 1;
-        }
-        self.was_reconfiguring = self.node.reconfiguring();
     }
 
     fn handle(&mut self, from: NodeId, msg: ProtoMsg) {
@@ -472,16 +492,7 @@ impl Replica for RaftReplica {
     }
 
     fn reconfigure(&mut self, new_nodes: Vec<NodeId>) -> bool {
-        let ok = self.node.propose_membership(new_nodes);
-        if ok {
-            self.reconfigs_requested += 1;
-            self.was_reconfiguring = true;
-        }
-        ok
-    }
-
-    fn reconfig_done(&self) -> bool {
-        self.reconfigs_done >= self.reconfigs_requested
+        self.node.propose_membership(new_nodes)
     }
 
     fn reconfigured_to(&self, new_nodes: &[NodeId]) -> bool {
@@ -524,11 +535,6 @@ impl MpReplica {
             node: MpNode::new(cfg),
             delivered: 0,
         }
-    }
-
-    /// Access the wrapped node.
-    pub fn node(&mut self) -> &mut MpNode<Cmd> {
-        &mut self.node
     }
 }
 
@@ -604,22 +610,19 @@ impl Replica for MpReplica {
 pub struct VrReplica {
     node: VrNode<Cmd>,
     delivered: u64,
+    nodes: Vec<NodeId>,
 }
 
 impl VrReplica {
     pub fn new(pid: NodeId, nodes: Vec<NodeId>, timeout_ticks: u64) -> Self {
-        let mut cfg = VrConfig::with(pid, nodes);
+        let mut cfg = VrConfig::with(pid, nodes.clone());
         cfg.timeout_ticks = timeout_ticks;
         cfg.ping_ticks = (timeout_ticks / 4).max(1);
         VrReplica {
             node: VrNode::new(cfg),
             delivered: 0,
+            nodes,
         }
-    }
-
-    /// Access the wrapped node.
-    pub fn node(&mut self) -> &mut VrNode<Cmd> {
-        &mut self.node
     }
 }
 
@@ -671,6 +674,15 @@ impl Replica for VrReplica {
 
     fn reconnected(&mut self, pid: NodeId) {
         self.node.reconnected(pid);
+    }
+
+    /// The adapter models no persistence: a restarted server keeps its
+    /// state but missed everything sent while it was down, so it re-syncs
+    /// with every peer, as fresh sessions would make it.
+    fn fail_recovery(&mut self) {
+        for &peer in &self.nodes {
+            self.node.reconnected(peer);
+        }
     }
 
     fn decided_base(&self) -> u64 {

@@ -1,71 +1,33 @@
-//! The simulation loop: replicas over the simulated network, with the
-//! client workload, a partition/reconfiguration schedule, and metrics.
+//! The simulation loop: replicas over the simulated network, a fault
+//! schedule, a client workload, and metrics.
 //!
-//! Time advances in fixed ticks (default 1 ms). Each tick: due messages are
-//! delivered, replicas and the client take a step, scheduled actions fire,
-//! and outgoing messages are sent through the (possibly partitioned,
-//! bandwidth-limited) network.
+//! [`Runner::step`] is the one definition of a tick, shared by the paper's
+//! figures, the protocol chaos harness and the root safety tests. Time
+//! advances in fixed ticks (default 1 ms); each tick, in order:
 //!
-//! Replicas talk to the network exclusively through the
-//! [`net::NetworkLink`] abstraction — one [`net::SimLink`] per node on a
-//! shared [`net::SimHub`]. Cut/heal surface as session events on the
-//! links (the same events the TCP transport emits from real sockets), so
-//! the reconnect → `PrepareReq` re-sync path is driven identically under
+//! 1. **deliver** — due messages and session events reach live servers;
+//! 2. **fire** — scheduled [`Fault`]s fire through the [`Nemesis`];
+//! 3. **tick** — live replicas advance their timers;
+//! 4. **client** — every live server's newly decided batch is polled once,
+//!    and the [`Workload`] reads them and proposes;
+//! 5. **send** — live replicas' outgoing messages enter the network.
+//!
+//! Replicas talk to the network only through [`net::SimLink`]s on one
+//! [`net::SimHub`]. Cut/heal surface as session events on the links (the
+//! same events the TCP transport emits from real sockets), so the
+//! reconnect → `PrepareReq` re-sync path is driven identically under
 //! simulation and deployment.
 
-use crate::client::{Client, ClientConfig};
+use crate::client::Client;
 use crate::metrics::RunReport;
+use crate::nemesis::{Fault, Nemesis, Servers};
 use crate::protocol::{
     MpReplica, OmniReplica, ProtoMsg, ProtocolKind, RaftReplica, Replica, VrReplica,
 };
-use crate::{Cmd, NodeId};
-use net::{LinkEvent, NetworkLink, SimHub, SimLink};
+use crate::{ClientConfig, Cmd, NodeId};
+use net::LinkEvent;
 use omnipaxos::MigrationScheme;
-use simulator::{ms, sec, NetworkConfig, SimTime};
-use std::collections::HashSet;
-
-/// A scheduled event. Partition shapes that depend on who currently leads
-/// (all of §2's scenarios do) are resolved against the live leader when the
-/// action fires, as the paper's testbed scripts did.
-#[derive(Debug, Clone)]
-pub enum Action {
-    /// Cut both directions between two servers.
-    CutLink(NodeId, NodeId),
-    /// Heal both directions (runs the session-drop protocol).
-    HealLink(NodeId, NodeId),
-    /// Heal every link.
-    HealAll,
-    /// §2a: every server stays connected to one non-leader hub; all other
-    /// links (including the leader's, except to the hub) are cut. The old
-    /// leader stays alive and reachable from the hub.
-    QuorumLoss,
-    /// §2b stage 1: disconnect the designated hub from the leader so the
-    /// hub's log goes stale.
-    ConstrainedStage1,
-    /// §2b stage 2: fully partition the old leader; everyone else connects
-    /// only to the hub.
-    ConstrainedStage2,
-    /// §2c: in a 3-server chain, cut the leader from one follower, leaving
-    /// the third server connected to both.
-    Chained,
-    /// §2c general case: connect the servers in a line (each only to its
-    /// pid-neighbours). With 5 servers no fully-connected server exists,
-    /// which is the configuration the paper argues livelocks Raft and VR
-    /// permanently (Table 1's chained column).
-    ChainedLine,
-    /// Submit a reconfiguration to the current leader (retries until a
-    /// leader accepts it).
-    Reconfigure(Vec<NodeId>),
-    /// Crash the current (effective) leader: its volatile state is lost,
-    /// its in-flight messages vanish, and it stays down until recovered.
-    CrashLeader,
-    /// Crash a specific server.
-    Crash(NodeId),
-    /// Recover a crashed server from its (simulated) persistent storage.
-    Recover(NodeId),
-    /// Recover every crashed server.
-    RecoverAll,
-}
+use simulator::{ms, sec, LinkConfig, NetworkConfig, SimTime};
 
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -99,8 +61,8 @@ pub struct RunConfig {
     pub window_us: SimTime,
     /// Gaps in decided replies at least this long count as down-time, µs.
     pub gap_threshold_us: SimTime,
-    /// Scheduled actions (fired in time order at tick boundaries).
-    pub schedule: Vec<(SimTime, Action)>,
+    /// Scheduled faults, fired in time order at tick boundaries.
+    pub schedule: Vec<(SimTime, Fault)>,
     pub seed: u64,
 }
 
@@ -127,405 +89,405 @@ impl Default for RunConfig {
     }
 }
 
+/// One server's newly decided commands of one tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decided {
+    pub pid: NodeId,
+    /// Absolute log position of `ids[0]` ([`Replica::decided_base`]).
+    pub base: u64,
+    pub ids: Vec<u64>,
+}
+
+/// The client phase of a tick: reads [`Runner::decided`] and proposes.
+pub trait Workload {
+    fn step(&mut self, run: &mut Runner);
+}
+
+/// A [`Fault::ReconfigureTo`] in progress. The runner plays the operator:
+/// it submits the change to the live leader until one accepts it, then
+/// re-submits every 2 s until the target configuration is live, since a
+/// leader change can strand an in-flight change (the paper observed Raft
+/// needing multiple attempts, §7.3).
+struct Reconfig {
+    target: Vec<NodeId>,
+    /// The last submission once one was accepted.
+    submitted_at: Option<SimTime>,
+    done_at: Option<SimTime>,
+}
+
 /// One simulation run in progress.
 pub struct Runner {
     config: RunConfig,
     replicas: Vec<Box<dyn Replica>>,
-    hub: SimHub<ProtoMsg>,
-    links: Vec<SimLink<ProtoMsg>>,
-    client: Client,
-    /// Directed links we have cut (for reconnect notifications on heal).
-    cut: HashSet<(NodeId, NodeId)>,
-    schedule: Vec<(SimTime, Action)>,
-    /// A reconfigure action waiting for a leader to accept it.
-    pending_reconfig: Option<Vec<NodeId>>,
-    reconfig_target: Option<Vec<NodeId>>,
-    reconfig_done_at: Option<SimTime>,
-    last_resubmit: SimTime,
-    /// Remembered by `ConstrainedStage1` for stage 2.
-    constrained: Option<(NodeId, NodeId)>, // (hub, old_leader)
-    /// Servers currently crashed (fail-recovery model).
-    crashed: HashSet<NodeId>,
-    /// Servers shut down by the operator after leaving the configuration.
-    /// A removed-but-uninformed Raft server otherwise disrupts the cluster
-    /// with ever-higher terms (Raft §6's disruptive-server problem); real
-    /// deployments (e.g. TiKV) destroy the removed peer at the application
-    /// layer once the change is through.
-    decommissioned: HashSet<NodeId>,
+    nemesis: Nemesis<ProtoMsg>,
+    /// Pending faults, latest first (`pop` yields the earliest).
+    schedule: Vec<(SimTime, Fault)>,
+    now: SimTime,
+    /// This tick's fired faults, as resolved.
+    fired: Vec<String>,
+    /// This tick's decided batches, one per live server.
+    decided: Vec<Decided>,
+    /// This tick's halted servers that tried to send, and how much.
+    halted_sends: Vec<(NodeId, usize)>,
+    reconfig: Option<Reconfig>,
+}
+
+/// The replica of `pid` for `config`'s protocol: pids `1..=n` start in
+/// the initial configuration, higher pids as joiners.
+pub fn replica_for(config: &RunConfig, pid: NodeId) -> Box<dyn Replica> {
+    let all: Vec<NodeId> = (1..=config.n as NodeId).collect();
+    let member = pid <= config.n as NodeId;
+    let ticks_per_election = (config.election_timeout_us / config.tick_us).max(1);
+    let initial_log: Vec<Cmd> = (0..config.initial_log as u64)
+        .filter(|_| member)
+        .map(|i| Cmd::sized(i, config.initial_entry_size))
+        .collect();
+    match config.protocol {
+        ProtocolKind::OmniPaxos | ProtocolKind::OmniPaxosLeaderMigration => {
+            let scheme = if config.protocol == ProtocolKind::OmniPaxos {
+                MigrationScheme::Parallel
+            } else {
+                MigrationScheme::LeaderOnly
+            };
+            if member {
+                Box::new(OmniReplica::new(
+                    pid,
+                    all,
+                    scheme,
+                    ticks_per_election,
+                    initial_log,
+                ))
+            } else {
+                Box::new(OmniReplica::joiner(pid, scheme, ticks_per_election))
+            }
+        }
+        ProtocolKind::Raft | ProtocolKind::RaftPvCq => Box::new(RaftReplica::new(
+            pid,
+            all,
+            config.protocol == ProtocolKind::RaftPvCq,
+            ticks_per_election,
+            config.seed,
+            initial_log,
+        )),
+        ProtocolKind::MultiPaxos => {
+            assert!(config.joiners == 0, "Multi-Paxos: no reconfiguration");
+            Box::new(MpReplica::new(pid, all, ticks_per_election * 4))
+        }
+        ProtocolKind::Vr => {
+            assert!(config.joiners == 0, "VR baseline: no reconfiguration");
+            Box::new(VrReplica::new(pid, all, ticks_per_election * 4))
+        }
+    }
 }
 
 impl Runner {
-    /// Build a run: replicas, network, client.
+    /// Build a run: replicas and network.
     pub fn new(config: RunConfig) -> Self {
-        let n = config.n;
-        let all: Vec<NodeId> = (1..=n as NodeId).collect();
-        let total = n + config.joiners;
-        let ticks_per_election = (config.election_timeout_us / config.tick_us).max(1);
-        let initial_log: Vec<Cmd> = (0..config.initial_log as u64)
-            .map(|i| Cmd::sized(i, config.initial_entry_size))
-            .collect();
-        let mut replicas: Vec<Box<dyn Replica>> = Vec::with_capacity(total);
-        for pid in 1..=total as NodeId {
-            let member = pid <= n as NodeId;
-            let r: Box<dyn Replica> = match config.protocol {
-                ProtocolKind::OmniPaxos | ProtocolKind::OmniPaxosLeaderMigration => {
-                    let scheme = if config.protocol == ProtocolKind::OmniPaxos {
-                        MigrationScheme::Parallel
-                    } else {
-                        MigrationScheme::LeaderOnly
-                    };
-                    if member {
-                        Box::new(OmniReplica::new(
-                            pid,
-                            all.clone(),
-                            scheme,
-                            ticks_per_election,
-                            initial_log.clone(),
-                        ))
-                    } else {
-                        Box::new(OmniReplica::joiner(pid, scheme, ticks_per_election))
-                    }
-                }
-                ProtocolKind::Raft | ProtocolKind::RaftPvCq => {
-                    let pv_cq = config.protocol == ProtocolKind::RaftPvCq;
-                    let log = if member {
-                        initial_log.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    Box::new(RaftReplica::new(
-                        pid,
-                        all.clone(),
-                        pv_cq,
-                        ticks_per_election,
-                        config.seed,
-                        log,
-                    ))
-                }
-                ProtocolKind::MultiPaxos => {
-                    assert!(config.joiners == 0, "Multi-Paxos: no reconfiguration");
-                    Box::new(MpReplica::new(pid, all.clone(), ticks_per_election * 4))
-                }
-                ProtocolKind::Vr => {
-                    assert!(config.joiners == 0, "VR baseline: no reconfiguration");
-                    Box::new(VrReplica::new(pid, all.clone(), ticks_per_election * 4))
-                }
-            };
-            replicas.push(r);
-        }
-        let hub = SimHub::new(NetworkConfig {
-            nodes: (1..=total as NodeId).collect(),
-            default_latency_us: config.latency_us,
-            jitter_us: 0,
-            nic_bytes_per_sec: config.nic_bytes_per_sec,
-            priority_bytes: 256,
-            seed: config.seed,
-        });
-        let links = (1..=total as NodeId).map(|p| hub.link(p)).collect();
-        let client = Client::new(
-            config.client.clone(),
-            config.window_us,
-            config.gap_threshold_us,
+        let total = (config.n + config.joiners) as NodeId;
+        let replicas = (1..=total).map(|pid| replica_for(&config, pid)).collect();
+        Self::with_replicas(config, replicas)
+    }
+
+    /// Build a run over the given replicas (pid `i + 1` at index `i`).
+    pub fn with_replicas(config: RunConfig, replicas: Vec<Box<dyn Replica>>) -> Self {
+        let nemesis = Nemesis::new(
+            NetworkConfig {
+                nodes: (1..=replicas.len() as NodeId).collect(),
+                default_latency_us: config.latency_us,
+                jitter_us: 0,
+                nic_bytes_per_sec: config.nic_bytes_per_sec,
+                priority_bytes: 256,
+                seed: config.seed,
+            },
+            (1..=config.n as NodeId).collect(),
         );
+        nemesis.hub().with_net(|net| {
+            for &(a, b, latency_us) in &config.latency_overrides {
+                let link = LinkConfig {
+                    latency_us,
+                    loss: 0.0,
+                };
+                net.links_mut().set_config_sym(a, b, link);
+            }
+            // Per-node IO windows for the Fig. 9 peak-IO metric.
+            net.stats_mut().enable_io_windows(config.window_us);
+        });
         let mut schedule = config.schedule.clone();
         schedule.sort_by_key(|(t, _)| *t);
-        schedule.reverse(); // pop() yields earliest
-        let runner = Runner {
+        schedule.reverse();
+        Runner {
             replicas,
-            hub,
-            links,
-            client,
-            cut: HashSet::new(),
+            nemesis,
             schedule,
-            pending_reconfig: None,
-            reconfig_target: None,
-            reconfig_done_at: None,
-            last_resubmit: 0,
-            constrained: None,
-            crashed: HashSet::new(),
-            decommissioned: HashSet::new(),
+            now: 0,
+            fired: Vec::new(),
+            decided: Vec::new(),
+            halted_sends: Vec::new(),
+            reconfig: None,
             config,
-        };
-        // Per-pair latency overrides (WAN settings).
-        for (a, b, lat) in runner.config.latency_overrides.clone() {
-            runner.hub.with_net(|n| {
-                n.links_mut().set_config_sym(
-                    a,
-                    b,
-                    simulator::LinkConfig {
-                        latency_us: lat,
-                        loss: 0.0,
-                    },
-                )
+        }
+    }
+
+    /// Execute the run to completion under the closed-loop client, and
+    /// report.
+    pub fn run(mut self) -> RunReport {
+        let mut client = Client::new(
+            self.config.client.clone(),
+            self.config.window_us,
+            self.config.gap_threshold_us,
+        );
+        while self.now < self.config.duration {
+            self.step(&mut client);
+        }
+        self.finish(client)
+    }
+
+    /// Run one tick: deliver, fire, tick, client, send.
+    pub fn step(&mut self, workload: &mut dyn Workload) {
+        let next = self.now + self.config.tick_us;
+        let replicas = &mut self.replicas;
+        self.nemesis.deliver(next, |pid, ev| {
+            let r = &mut replicas[(pid - 1) as usize];
+            match ev {
+                LinkEvent::Message { from, msg } => r.handle(from, msg),
+                // A fresh session means messages may have been lost:
+                // re-sync (PrepareReq on the Omni side).
+                LinkEvent::SessionEstablished { peer, .. } => r.reconnected(peer),
+                LinkEvent::SessionDropped { .. } => {}
+            }
+        });
+        self.now = next;
+        self.fired.clear();
+        while self.schedule.last().is_some_and(|(t, _)| *t <= next) {
+            let (_, fault) = self.schedule.pop().expect("checked");
+            let desc = self.fire(&fault);
+            self.fired.push(desc);
+        }
+        self.operate_reconfig();
+        for r in self.replicas.iter_mut() {
+            if self.nemesis.live(r.pid()) {
+                r.tick();
+            }
+        }
+        self.decided.clear();
+        for r in self.replicas.iter_mut() {
+            if self.nemesis.live(r.pid()) {
+                let base = r.decided_base();
+                let ids = r.poll_decided();
+                self.decided.push(Decided {
+                    pid: r.pid(),
+                    base,
+                    ids,
+                });
+            }
+        }
+        workload.step(self);
+        self.halted_sends.clear();
+        let total = self.replicas.len() as NodeId;
+        for r in self.replicas.iter_mut() {
+            let (from, out) = (r.pid(), r.outgoing());
+            if !self.nemesis.live(from) {
+                continue; // a down server sends nothing; backlog discarded
+            }
+            if r.is_halted() {
+                // Fail-stop: anything a server emits after failing to
+                // persist could ack state its disk never took.
+                if !out.is_empty() {
+                    self.halted_sends.push((from, out.len()));
+                }
+                continue;
+            }
+            for (to, msg) in out {
+                if (1..=total).contains(&to) {
+                    self.nemesis.send(from, to, msg);
+                }
+            }
+        }
+        self.check_reconfig_done();
+    }
+
+    /// Fire one fault now and return its resolved form.
+    pub fn fire(&mut self, fault: &Fault) -> String {
+        if let Fault::ReconfigureTo(target) = fault {
+            self.reconfig = Some(Reconfig {
+                target: target.clone(),
+                submitted_at: None,
+                done_at: None,
             });
         }
-        if runner.config.window_us > 0 {
-            // Per-node IO windows for the Fig. 9 peak-IO metric.
-            // (Enabled on the stats side lazily; see simulator::NetStats.)
+        self.nemesis.fire(fault, self.replicas.as_mut_slice())
+    }
+
+    /// Restart every live server halted on a storage error; returns them.
+    pub fn restart_halted(&mut self) -> Vec<NodeId> {
+        self.nemesis.restart_halted(self.replicas.as_mut_slice())
+    }
+
+    /// Simulated time at the end of the last tick.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The faults fired in the last tick, as resolved.
+    pub fn fired(&self) -> &[String] {
+        &self.fired
+    }
+
+    /// Every live server's newly decided batch of the current tick, in pid
+    /// order (empty batches included).
+    pub fn decided(&self) -> &[Decided] {
+        &self.decided
+    }
+
+    /// Halted servers that tried to send in the last tick, with the
+    /// number of messages each tried (their sends were dropped).
+    pub fn halted_sends(&self) -> &[(NodeId, usize)] {
+        &self.halted_sends
+    }
+
+    pub fn live(&self, pid: NodeId) -> bool {
+        self.nemesis.live(pid)
+    }
+
+    /// Every server's pid.
+    pub fn pids(&self) -> impl Iterator<Item = NodeId> {
+        1..=self.replicas.len() as NodeId
+    }
+
+    pub fn replica(&self, pid: NodeId) -> &dyn Replica {
+        self.replicas[(pid - 1) as usize].as_ref()
+    }
+
+    /// The freshest live leadership claimant, if any.
+    pub fn leader(&self) -> Option<NodeId> {
+        self.replicas.leader(self.nemesis.crashed())
+    }
+
+    /// Propose `cmd` at `pid`; a down server takes nothing.
+    pub fn propose(&mut self, pid: NodeId, cmd: Cmd) -> bool {
+        self.live(pid) && self.replicas[(pid - 1) as usize].propose(cmd)
+    }
+
+    fn submit_reconfig(&mut self, target: &[NodeId]) -> bool {
+        match self.leader() {
+            Some(l) => self.replicas[(l - 1) as usize].reconfigure(target.to_vec()),
+            None => false,
         }
-        runner
     }
 
-    /// Execute the run to completion and report.
-    pub fn run(mut self) -> RunReport {
-        // Enable IO windowing before any traffic.
-        self.enable_io_windows();
-        let total = self.replicas.len();
-        let mut now: SimTime = 0;
-        while now < self.config.duration {
-            let next_tick = now + self.config.tick_us;
-            // Deliver everything due in this tick: the hub stages due
-            // deliveries (and session events) on each node's link; every
-            // live node drains its link. Handling a message only touches
-            // the receiving replica, so per-node draining preserves the
-            // global delivery order's effect exactly.
-            self.hub.drain_due(next_tick);
-            for i in 0..total {
-                let pid = (i + 1) as NodeId;
-                let events = self.links[i].poll();
-                if self.decommissioned.contains(&pid) || self.crashed.contains(&pid) {
-                    continue; // a dead node's inbox drains to the floor
-                }
-                for ev in events {
-                    match ev {
-                        LinkEvent::Message { from, msg } => self.replicas[i].handle(from, msg),
-                        // A fresh session means messages may have been
-                        // lost: re-sync (PrepareReq on the Omni side).
-                        LinkEvent::SessionEstablished { peer, .. } => {
-                            self.replicas[i].reconnected(peer)
-                        }
-                        LinkEvent::SessionDropped { .. } => {}
-                    }
-                }
-            }
-            now = next_tick;
-            // Scheduled actions.
-            while self.schedule.last().is_some_and(|(t, _)| *t <= now) {
-                let (_, action) = self.schedule.pop().expect("checked");
-                self.apply_action(action);
-            }
-            // Retry a pending reconfiguration until a leader accepts it,
-            // and periodically re-submit until the target configuration is
-            // live: a leader change can strand an in-flight change (the
-            // paper observed Raft needing multiple attempts, §7.3).
-            if let Some(target) = self.pending_reconfig.clone() {
-                if self.submit_reconfig(&target) {
-                    self.pending_reconfig = None;
-                    self.last_resubmit = now;
-                }
-            } else if self.reconfig_done_at.is_none() {
-                if let Some(target) = self.reconfig_target.clone() {
-                    if now.saturating_sub(self.last_resubmit) >= sec(2) {
-                        self.last_resubmit = now;
-                        let _ = self.submit_reconfig(&target);
-                    }
-                }
-            }
-            // Replica timers and the client step.
-            for r in self.replicas.iter_mut() {
-                if !self.decommissioned.contains(&r.pid()) && !self.crashed.contains(&r.pid()) {
-                    r.tick();
-                }
-            }
-            self.client.step(now, &mut self.replicas);
-            // Send outgoing traffic.
-            for i in 0..total {
-                let from = (i + 1) as NodeId;
-                if self.decommissioned.contains(&from) || self.crashed.contains(&from) {
-                    let _ = self.replicas[i].outgoing();
-                    continue;
-                }
-                for (to, msg) in self.replicas[i].outgoing() {
-                    if to == 0 || to as usize > total {
-                        continue;
-                    }
-                    self.links[i].send(to, msg);
-                }
-            }
-            // Reconfiguration completion check.
-            if self.reconfig_done_at.is_none() {
-                if let Some(target) = self.reconfig_target.clone() {
-                    if self.pending_reconfig.is_none()
-                        && target
-                            .iter()
-                            .all(|&p| self.replicas[(p - 1) as usize].reconfigured_to(&target))
-                    {
-                        self.reconfig_done_at = Some(now);
-                        // Operator shuts down the servers that left.
-                        for p in 1..=self.config.n as NodeId {
-                            if !target.contains(&p) {
-                                self.decommissioned.insert(p);
-                            }
-                        }
-                    }
-                }
-            }
+    fn operate_reconfig(&mut self) {
+        let now = self.now;
+        let Some(rc) = &self.reconfig else {
+            return;
+        };
+        let first = rc.submitted_at.is_none();
+        let due = match (rc.submitted_at, rc.done_at) {
+            (None, _) => true,
+            (Some(at), None) => now.saturating_sub(at) >= sec(2),
+            (Some(_), Some(_)) => false,
+        };
+        if !due {
+            return;
         }
-        self.finish(now)
+        let target = rc.target.clone();
+        // Retried every tick until a leader takes it; after that, every
+        // 2 s whatever the answer.
+        if self.submit_reconfig(&target) || !first {
+            self.reconfig.as_mut().expect("checked").submitted_at = Some(now);
+        }
     }
 
-    fn enable_io_windows(&mut self) {
-        // NetStats windowing is configured through the network's stats; the
-        // Network exposes it via links()/stats() — add windows equal to the
-        // report window.
-        let w = self.config.window_us;
-        self.hub.with_net(|n| n.stats_mut().enable_io_windows(w));
+    fn check_reconfig_done(&mut self) {
+        let Some(rc) = &mut self.reconfig else {
+            return;
+        };
+        let target = &rc.target;
+        if rc.done_at.is_some()
+            || rc.submitted_at.is_none()
+            || !target
+                .iter()
+                .all(|&p| self.replicas[(p - 1) as usize].reconfigured_to(target))
+        {
+            return;
+        }
+        rc.done_at = Some(self.now);
+        // The operator shuts down the servers that left. A removed but
+        // uninformed Raft server otherwise disrupts the cluster with
+        // ever-higher terms (Raft §6's disruptive-server problem); real
+        // deployments (e.g. TiKV) destroy the removed peer at the
+        // application layer once the change is through.
+        let gone: Vec<NodeId> = (1..=self.config.n as NodeId)
+            .filter(|p| !target.contains(p))
+            .collect();
+        for p in gone {
+            self.nemesis.crash(p);
+        }
     }
 
-    fn finish(mut self, end: SimTime) -> RunReport {
-        self.client.decides.finalize(end);
-        let leader_changes = self
-            .replicas
-            .iter()
+    fn finish(self, mut client: Client) -> RunReport {
+        let end = self.now;
+        client.decides.finalize(end);
+        let leader_changes = (self.replicas.iter())
             .map(|r| r.leader_changes())
             .max()
             .unwrap_or(0);
-        let final_rank = self
-            .replicas
-            .iter()
+        let final_rank = (self.replicas.iter())
             .map(|r| r.leader_rank())
             .max()
             .unwrap_or(0);
         let n = self.replicas.len() as NodeId;
-        let (bytes_sent, peak_window_bytes) = self.hub.with_net(|net| {
-            let bytes: Vec<(NodeId, u64)> =
-                (1..=n).map(|p| (p, net.stats().bytes_sent(p))).collect();
-            let peak: Vec<(NodeId, u64)> = (1..=n)
-                .map(|p| (p, net.stats().peak_window_bytes(p)))
-                .collect();
+        let (bytes_sent, peak_window_bytes) = self.nemesis.hub().with_net(|net| {
+            let stats = net.stats();
+            let bytes = (1..=n).map(|p| (p, stats.bytes_sent(p))).collect();
+            let peak = (1..=n).map(|p| (p, stats.peak_window_bytes(p))).collect();
             (bytes, peak)
         });
         RunReport {
             protocol: self.config.protocol.name().to_string(),
-            total_decided: self.client.completed(),
-            decides: self.client.decides.clone(),
+            total_decided: client.completed(),
             leader_changes,
             final_rank,
             bytes_sent,
             peak_window_bytes,
-            reconfig_done_at: self.reconfig_done_at,
-            latency: self.client.latencies.clone(),
+            reconfig_done_at: self.reconfig.and_then(|rc| rc.done_at),
+            latency: client.latencies,
+            decides: client.decides,
             duration: end,
         }
     }
+}
 
-    /// The pid of the freshest leader claimant (0 if none).
-    fn effective_leader(&self) -> NodeId {
-        self.replicas
-            .iter()
-            .filter(|r| r.is_leader())
+/// The runner's servers as a fault sees them.
+impl Servers for [Box<dyn Replica>] {
+    fn leader(&self, crashed: &std::collections::BTreeSet<NodeId>) -> Option<NodeId> {
+        self.iter()
+            .filter(|r| !crashed.contains(&r.pid()) && r.is_leader())
             .max_by_key(|r| r.leader_rank())
             .map(|r| r.pid())
-            .unwrap_or(0)
     }
 
-    fn members(&self) -> Vec<NodeId> {
-        (1..=self.config.n as NodeId).collect()
+    fn recover(&mut self, pid: NodeId) {
+        self[(pid - 1) as usize].fail_recovery();
     }
 
-    fn cut_link(&mut self, a: NodeId, b: NodeId) {
-        self.hub.cut(a, b);
-        self.cut.insert((a, b));
-        self.cut.insert((b, a));
+    fn is_halted(&self, pid: NodeId) -> bool {
+        self[(pid - 1) as usize].is_halted()
     }
 
-    /// Healing establishes a new session; the `SessionEstablished` events
-    /// the hub emits drive `reconnected()` on both ends at the next
-    /// delivery phase — the same path the TCP transport takes.
-    fn heal_link(&mut self, a: NodeId, b: NodeId) {
-        self.hub.heal(a, b);
-        self.cut.remove(&(a, b));
-        self.cut.remove(&(b, a));
-    }
-
-    fn apply_action(&mut self, action: Action) {
-        match action {
-            Action::CutLink(a, b) => self.cut_link(a, b),
-            Action::HealLink(a, b) => self.heal_link(a, b),
-            Action::HealAll => {
-                let pairs: Vec<(NodeId, NodeId)> = self.cut.iter().copied().collect();
-                for (a, b) in pairs {
-                    self.heal_link(a, b);
-                }
-            }
-            Action::QuorumLoss => {
-                let members = self.members();
-                let leader = self.effective_leader();
-                let hub = members
-                    .iter()
-                    .copied()
-                    .find(|&p| p != leader)
-                    .expect("a non-leader exists");
-                for (a, b) in crate::scenarios::quorum_loss_cuts(&members, hub) {
-                    self.cut_link(a, b);
-                }
-            }
-            Action::ConstrainedStage1 => {
-                let leader = self.effective_leader();
-                let hub = self
-                    .members()
-                    .into_iter()
-                    .find(|&p| p != leader)
-                    .expect("a non-leader exists");
-                self.constrained = Some((hub, leader));
-                self.cut_link(hub, leader);
-            }
-            Action::ConstrainedStage2 => {
-                let (hub, old_leader) = self.constrained.expect("ConstrainedStage1 must run first");
-                let members = self.members();
-                for (a, b) in crate::scenarios::constrained_stage2_cuts(&members, hub, old_leader) {
-                    self.cut_link(a, b);
-                }
-            }
-            Action::Chained => {
-                let members = self.members();
-                assert_eq!(members.len(), 3, "chained scenario runs on 3 servers");
-                let leader = self.effective_leader();
-                let others: Vec<NodeId> = members.into_iter().filter(|&p| p != leader).collect();
-                // Cut leader <-> others[1]; others[0] is the middle server.
-                self.cut_link(leader, others[1]);
-            }
-            Action::ChainedLine => {
-                let members = self.members();
-                for (a, b) in crate::scenarios::chained_line_cuts(&members) {
-                    self.cut_link(a, b);
-                }
-            }
-            Action::CrashLeader => {
-                let leader = self.effective_leader();
-                if leader != 0 {
-                    self.apply_action(Action::Crash(leader));
-                }
-            }
-            Action::Crash(pid) => {
-                self.crashed.insert(pid);
-                self.hub.crash(pid);
-            }
-            Action::Recover(pid) => {
-                if self.crashed.remove(&pid) {
-                    self.replicas[(pid - 1) as usize].fail_recovery();
-                }
-            }
-            Action::RecoverAll => {
-                let crashed: Vec<NodeId> = self.crashed.iter().copied().collect();
-                for pid in crashed {
-                    self.apply_action(Action::Recover(pid));
-                }
-            }
-            Action::Reconfigure(new_nodes) => {
-                self.reconfig_target = Some(new_nodes.clone());
-                if !self.submit_reconfig(&new_nodes) {
-                    self.pending_reconfig = Some(new_nodes);
-                }
-            }
+    fn compact(&mut self, pid: NodeId) -> String {
+        match self[(pid - 1) as usize].compact() {
+            Some(upto) => format!("upto={upto}"),
+            None => "(nothing to trim)".to_string(),
         }
     }
 
-    fn submit_reconfig(&mut self, new_nodes: &[NodeId]) -> bool {
-        let leader = self.effective_leader();
-        if leader == 0 {
-            return false;
-        }
-        self.replicas[(leader - 1) as usize].reconfigure(new_nodes.to_vec())
+    fn upgrade(&mut self, pid: NodeId) -> bool {
+        self[(pid - 1) as usize].upgrade()
+    }
+
+    fn arm_disk(&mut self, pid: NodeId, kind: omnipaxos::StorageFaultKind) -> Option<String> {
+        self[(pid - 1) as usize]
+            .inject_disk_fault(kind)
+            .then(String::new)
     }
 }

@@ -11,8 +11,9 @@
 
 use crate::client::ClientConfig;
 use crate::metrics::RunReport;
+use crate::nemesis::Fault;
 use crate::protocol::ProtocolKind;
-use crate::runner::{Action, RunConfig, Runner};
+use crate::runner::{RunConfig, Runner};
 use crate::NodeId;
 use simulator::{ms, sec, SimTime};
 
@@ -70,9 +71,9 @@ pub const TICK_US: SimTime = ms(1);
 //
 // Each function maps a membership (and the pattern's distinguished servers,
 // resolved against the live leader at injection time) to the symmetric link
-// pairs to cut. The [`Runner`] and the chaos harness share these, so a
-// randomized fault schedule exercises exactly the topologies of the paper's
-// §2 analysis.
+// pairs to cut. Every fault schedule fires them through the one
+// [`crate::Nemesis`], so a randomized chaos schedule exercises exactly the
+// topologies of the paper's §2 analysis.
 
 /// §2a quorum-loss: every server keeps only its link to the `hub`; all
 /// other pairs are cut. No server is quorum-connected except the hub, so
@@ -251,9 +252,9 @@ pub fn partition_run(
     let partition_at = warmup;
     let heal_at = partition_at + partition_for;
     let duration = heal_at + sec(5);
-    let mut schedule: Vec<(SimTime, Action)> = Vec::new();
+    let mut schedule: Vec<(SimTime, Fault)> = Vec::new();
     match scenario {
-        Scenario::QuorumLoss => schedule.push((partition_at, Action::QuorumLoss)),
+        Scenario::QuorumLoss => schedule.push((partition_at, Fault::QuorumLoss)),
         Scenario::ConstrainedElection => {
             // Disconnect the future hub from the leader first so its log is
             // outdated when it must win the election (§7.2). The gap must
@@ -261,13 +262,13 @@ pub fn partition_run(
             // to replicate entries the hub misses, short enough that the
             // hub does not start an election before the full partition.
             let gap = (election_timeout_us / 2).max(TICK_US * 2);
-            schedule.push((partition_at, Action::ConstrainedStage1));
-            schedule.push((partition_at + gap, Action::ConstrainedStage2));
+            schedule.push((partition_at, Fault::ConstrainedStage1));
+            schedule.push((partition_at + gap, Fault::ConstrainedStage2));
         }
-        Scenario::Chained => schedule.push((partition_at, Action::Chained)),
-        Scenario::ChainedFive => schedule.push((partition_at, Action::ChainedLine)),
+        Scenario::Chained => schedule.push((partition_at, Fault::Chained)),
+        Scenario::ChainedFive => schedule.push((partition_at, Fault::ChainedLine)),
     }
-    schedule.push((heal_at, Action::HealAll));
+    schedule.push((heal_at, Fault::HealAll));
     let config = RunConfig {
         protocol,
         n,
@@ -358,7 +359,7 @@ pub fn reconfig_run(
         initial_entry_size: 160, // 750 k × 160 B = 120 MB, the paper's volume
         window_us,
         gap_threshold_us: ms(100),
-        schedule: vec![(reconfig_at, Action::Reconfigure(new_nodes))],
+        schedule: vec![(reconfig_at, Fault::ReconfigureTo(new_nodes))],
         seed,
         ..Default::default()
     };

@@ -5,7 +5,8 @@
 
 use cluster::client::ClientConfig;
 use cluster::protocol::ProtocolKind;
-use cluster::runner::{Action, RunConfig, Runner};
+use cluster::runner::{RunConfig, Runner};
+use cluster::Fault;
 use cluster::RunReport;
 use simulator::{ms, sec};
 
@@ -25,7 +26,7 @@ fn config(seed: u64) -> RunConfig {
         gap_threshold_us: ms(40),
         // A partial partition plus heal mid-run exercises elections,
         // resynchronization (AcceptSync) and retransmissions.
-        schedule: vec![(sec(2), Action::QuorumLoss), (sec(4), Action::HealAll)],
+        schedule: vec![(sec(2), Fault::QuorumLoss), (sec(4), Fault::HealAll)],
         seed,
         ..Default::default()
     }

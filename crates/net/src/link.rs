@@ -312,11 +312,6 @@ impl<M: MsgSize> SimHub<M> {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.state.lock().unwrap().net.now()
-    }
-
     /// Move every delivery due by `deadline` into its destination's ready
     /// queue (in global delivery order), then advance time to `deadline`.
     pub fn drain_due(&self, deadline: SimTime) {

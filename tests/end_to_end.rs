@@ -212,7 +212,8 @@ fn cluster_harness_runs_all_protocols_through_one_interface() {
 fn reconfiguration_through_harness_replaces_a_server() {
     use cluster::client::ClientConfig;
     use cluster::protocol::ProtocolKind;
-    use cluster::runner::{Action, RunConfig, Runner};
+    use cluster::runner::{RunConfig, Runner};
+    use cluster::Fault;
     use simulator::sec;
 
     for protocol in [ProtocolKind::OmniPaxos, ProtocolKind::Raft] {
@@ -232,7 +233,7 @@ fn reconfiguration_through_harness_replaces_a_server() {
             initial_entry_size: 64,
             nic_bytes_per_sec: Some(25_000_000),
             window_us: sec(1),
-            schedule: vec![(sec(2), Action::Reconfigure(vec![2, 3, 4]))],
+            schedule: vec![(sec(2), Fault::ReconfigureTo(vec![2, 3, 4]))],
             ..Default::default()
         };
         let report = Runner::new(config).run();
