@@ -151,7 +151,7 @@ fn bench_migration(size: u64) -> (f64, f64) {
     }
     // Settle: initial history applied everywhere, a leader elected.
     let mut guard = 0;
-    while !(servers[..5].iter().all(|s| s.log().len() as u64 == size)
+    while !(servers[..5].iter().all(|s| s.decided_len() == size)
         && servers[..5].iter().any(|s| s.is_leader()))
     {
         step(&mut servers);
@@ -170,7 +170,7 @@ fn bench_migration(size: u64) -> (f64, f64) {
     let done = |servers: &[Server]| {
         new_nodes.iter().all(|&pid| {
             let s = &servers[pid as usize - 1];
-            s.config_id() == 2 && s.role() == ServerRole::Active && s.log().len() as u64 >= size
+            s.config_id() == 2 && s.role() == ServerRole::Active && s.decided_len() >= size
         })
     };
     let mut guard = 0;

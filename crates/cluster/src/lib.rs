@@ -12,9 +12,10 @@
 //!   fire, tick, client, send. The figures, the protocol chaos harness and
 //!   the root safety tests all run on it.
 //! * [`nemesis`] — the one fault vocabulary ([`Fault`]) and the one place
-//!   a fault is fired ([`Nemesis::fire`]), over the [`net::SimHub`]: cuts
-//!   and heals emit the TCP transport's session events, crashes drop
-//!   in-flight traffic, jitter reorders across links.
+//!   a fault is fired ([`Nemesis::fire`]), over the [`net::SimHub`]: cuts,
+//!   heals, crashes and recoveries emit the TCP transport's session
+//!   events, crashes also drop in-flight traffic, jitter reorders across
+//!   links.
 //! * [`scenarios`] — the quorum-loss, constrained-election and chained
 //!   partial partitions of §2, resolved against the live leader at
 //!   injection time exactly as the testbed scripts did.

@@ -4,9 +4,10 @@
 //! The figures' [`Runner`](crate::Runner) and both chaos drivers own a
 //! [`Nemesis`] and reach their servers through [`Servers`], so a fault
 //! means the same thing, and renders the same trace line, whoever fires
-//! it. Every fault goes through the [`SimHub`]: a cut or heal emits the
-//! session events the TCP transport emits from real sockets, so a healed
-//! link's re-sync (`reconnected` → `PrepareReq`) arrives as a
+//! it. Every fault goes through the [`SimHub`]: a cut or heal, a crash or
+//! recovery emits the session events the TCP transport emits from real
+//! sockets, so a healed link's or a restarted server's re-sync
+//! (`reconnected` → `PrepareReq`) arrives as a
 //! [`LinkEvent::SessionEstablished`] at the next delivery, not as a side
 //! door.
 
@@ -179,8 +180,9 @@ impl<M: MsgSize + Send> Nemesis<M> {
         self.links[(from - 1) as usize].send(to, msg);
     }
 
-    /// Take `pid` down: its in-flight and undelivered traffic is lost.
-    /// Returns whether it was up.
+    /// Take `pid` down: its in-flight and undelivered traffic is lost, and
+    /// its live peers see their sessions to it drop. Returns whether it
+    /// was up.
     pub fn crash(&mut self, pid: NodeId) -> bool {
         if !self.crashed.insert(pid) {
             return false;
@@ -312,6 +314,7 @@ impl<M: MsgSize + Send> Nemesis<M> {
             }
             Fault::Recover(p) => {
                 if self.crashed.remove(p) {
+                    self.hub.recover(*p);
                     servers.recover(*p);
                     format!("recover {p}")
                 } else if servers.is_halted(*p) {
@@ -327,6 +330,7 @@ impl<M: MsgSize + Send> Nemesis<M> {
             Fault::RecoverAll => {
                 let down = std::mem::take(&mut self.crashed);
                 for &p in &down {
+                    self.hub.recover(p);
                     servers.recover(p);
                 }
                 let healed = down.len() + self.restart_halted(servers).len();

@@ -292,7 +292,7 @@ impl Replica for OmniReplica {
     }
 
     fn poll_decided(&mut self) -> Vec<u64> {
-        self.server.poll_applied().iter().map(|c| c.id).collect()
+        self.server.poll_applied().map(|c| c.id).collect()
     }
 
     fn is_leader(&self) -> bool {
@@ -314,10 +314,9 @@ impl Replica for OmniReplica {
     fn fail_recovery(&mut self) {
         match self.lossy.take() {
             Some(bug) if self.server.log_start() == 0 => {
-                let log = self.server.log();
-                let keep = log.len().saturating_sub(bug.lost);
+                let mut log: Vec<Cmd> = self.server.log().cloned().collect();
+                log.truncate(log.len().saturating_sub(bug.lost));
                 let (pid, scheme) = (self.pid(), MigrationScheme::Parallel);
-                let log = log[..keep].to_vec();
                 *self = Self::new(pid, bug.nodes.clone(), scheme, bug.hb_timeout_ticks, log);
                 self.lossy = Some(bug);
             }
@@ -368,7 +367,7 @@ impl Replica for OmniReplica {
     fn decided_log_ids(&self) -> (u64, Vec<u64>) {
         (
             self.server.log_start(),
-            self.server.log().iter().map(|c| c.id).collect(),
+            self.server.log().map(|c| c.id).collect(),
         )
     }
 
@@ -610,18 +609,16 @@ impl Replica for MpReplica {
 pub struct VrReplica {
     node: VrNode<Cmd>,
     delivered: u64,
-    nodes: Vec<NodeId>,
 }
 
 impl VrReplica {
     pub fn new(pid: NodeId, nodes: Vec<NodeId>, timeout_ticks: u64) -> Self {
-        let mut cfg = VrConfig::with(pid, nodes.clone());
+        let mut cfg = VrConfig::with(pid, nodes);
         cfg.timeout_ticks = timeout_ticks;
         cfg.ping_ticks = (timeout_ticks / 4).max(1);
         VrReplica {
             node: VrNode::new(cfg),
             delivered: 0,
-            nodes,
         }
     }
 }
@@ -674,15 +671,6 @@ impl Replica for VrReplica {
 
     fn reconnected(&mut self, pid: NodeId) {
         self.node.reconnected(pid);
-    }
-
-    /// The adapter models no persistence: a restarted server keeps its
-    /// state but missed everything sent while it was down, so it re-syncs
-    /// with every peer, as fresh sessions would make it.
-    fn fail_recovery(&mut self) {
-        for &peer in &self.nodes {
-            self.node.reconnected(peer);
-        }
     }
 
     fn decided_base(&self) -> u64 {

@@ -13,7 +13,8 @@
 //! 5. **send** — live replicas' outgoing messages enter the network.
 //!
 //! Replicas talk to the network only through [`net::SimLink`]s on one
-//! [`net::SimHub`]. Cut/heal surface as session events on the links (the
+//! [`net::SimHub`]. Cut/heal and crash/recover surface as session events on
+//! the links (the
 //! same events the TCP transport emits from real sockets), so the
 //! reconnect → `PrepareReq` re-sync path is driven identically under
 //! simulation and deployment.

@@ -201,6 +201,14 @@ impl<T: Entry, S: Storage<T> + Clone> Storage<T> for FaultyStorage<T, S> {
         self.inner.get_decided_idx()
     }
 
+    /// While armed, only the shadow "disk" survives a crash.
+    fn durable_decided_idx(&self) -> u64 {
+        match &self.synced {
+            Some(synced) => synced.durable_decided_idx(),
+            None => self.inner.durable_decided_idx(),
+        }
+    }
+
     fn entries_ref(&self, from: u64, to: u64) -> &[LogEntry<T>] {
         self.inner.entries_ref(from, to)
     }

@@ -265,6 +265,17 @@ impl<T: Entry, S: Storage<T>> OmniPaxos<T, S> {
         self.sp.decided_idx()
     }
 
+    /// Index up to which decided entries would survive a crash right now:
+    /// the service layer delivers decided entries only below it.
+    pub(crate) fn durable_decided_idx(&self) -> u64 {
+        self.sp.durable_decided_idx()
+    }
+
+    /// Where the stop-sign sits in the log, decided or not.
+    pub(crate) fn stopsign_idx(&self) -> Option<u64> {
+        self.sp.stopsign_idx()
+    }
+
     /// Read decided entries from `from`.
     pub fn read_decided(&self, from: u64) -> Vec<LogEntry<T>> {
         self.sp.read_decided(from)

@@ -377,6 +377,17 @@ impl<T: Entry, S: Storage<T>> SequencePaxos<T, S> {
         self.storage.get_decided_idx()
     }
 
+    /// Index up to which decided entries would survive a crash right now
+    /// (see [`Storage::durable_decided_idx`]).
+    pub(crate) fn durable_decided_idx(&self) -> u64 {
+        self.storage.durable_decided_idx()
+    }
+
+    /// Where the stop-sign sits in the log, decided or not.
+    pub(crate) fn stopsign_idx(&self) -> Option<u64> {
+        self.stopsign_idx
+    }
+
     /// Read decided entries in `[from, decided_idx)`.
     pub fn read_decided(&self, from: u64) -> Vec<LogEntry<T>> {
         self.decided_ref(from).to_vec()

@@ -22,6 +22,14 @@
 //!
 //! Donors serve decided entries even if they have not reached the stop-sign
 //! themselves — decided entries can never be retracted (§6.1, Fig. 6b).
+//!
+//! Each decided entry lives once per server: the running configuration's
+//! entries are read in place from its storage, and the service layer keeps
+//! only the *history* — entries of closed configurations and chunks
+//! migrated from donors — which grows when the running instance closes,
+//! never per decide. Entries are delivered only up to what the storage
+//! would keep across a crash ([`Storage::durable_decided_idx`]): apply
+//! after persist.
 
 use crate::ballot::{Ballot, NodeId};
 use crate::omni::{OmniMessage, OmniPaxos, OmniPaxosConfig};
@@ -221,15 +229,29 @@ pub enum ServerRole {
 struct ActiveConfig<T: Entry, S: Storage<T>> {
     nodes: Vec<NodeId>,
     omni: OmniPaxos<T, S>,
-    /// How many entries of this instance's decided log have been applied to
-    /// the service-layer log.
-    applied_idx: u64,
     /// Absolute service-log index where this configuration's own log
     /// begins: entry `i` of the instance is service entry `base + i` (until
     /// the stop-sign). Maps instance-level snapshots to service indices.
     base: u64,
-    /// Handled the decided stop-sign already?
-    stopped: bool,
+}
+
+impl<T: Entry, S: Storage<T>> ActiveConfig<T, S> {
+    /// The instance's deliverable entries from instance index `from`:
+    /// decided, and kept by its storage across a crash.
+    fn decided(&self, from: u64) -> &[LogEntry<T>] {
+        let to = self.omni.durable_decided_idx();
+        if from >= to {
+            return &[];
+        }
+        &self.omni.decided_ref(from)[..(to - from) as usize]
+    }
+
+    /// Absolute service index one past the last deliverable entry (the
+    /// stop-sign is not a service entry).
+    fn decided_end(&self) -> u64 {
+        let to = self.omni.durable_decided_idx();
+        self.base + self.omni.stopsign_idx().map_or(to, |ss| ss.min(to))
+    }
 }
 
 /// An in-flight snapshot pull during migration (snapshot-first catch-up):
@@ -273,11 +295,14 @@ struct MigrationState<T> {
 /// multi-group deployments namespace each configuration's storage.
 pub struct OmniPaxosServer<T: Entry, S: Storage<T> = MemoryStorage<T>> {
     config: ServerConfig,
-    /// The replicated log across all configurations (decided entries only).
-    /// `log[0]` is service entry `log_start`: the prefix below it has been
+    /// Decided entries that the running configuration's storage does not
+    /// hold: those of closed configurations and migrated chunks.
+    /// `history[0]` is service entry `log_start`, and the history ends
+    /// where the running configuration begins (or is empty when a snapshot
+    /// reaches past that point). The prefix below `log_start` has been
     /// compacted away and is superseded by `snapshot`.
-    log: Vec<T>,
-    /// Absolute index of `log[0]` (0 until the owner compacts).
+    history: Vec<T>,
+    /// Absolute index of `history[0]` (0 until the owner compacts).
     log_start: u64,
     /// State-machine snapshot covering entries `[0, idx)` where
     /// `idx == log_start`; served to joiners instead of the trimmed prefix.
@@ -286,8 +311,9 @@ pub struct OmniPaxosServer<T: Entry, S: Storage<T> = MemoryStorage<T>> {
     /// transfer) that the owner has not yet restored; see
     /// [`OmniPaxosServer::take_snapshot_event`].
     snapshot_event: Option<(u64, SnapshotData)>,
-    /// Cursor for [`OmniPaxosServer::poll_applied`] (absolute index).
-    polled_idx: u64,
+    /// Delivery cursor for [`OmniPaxosServer::poll_applied`] (absolute
+    /// index, never below `log_start`).
+    delivered: u64,
     config_id: u32,
     role: ServerRole,
     active: Option<ActiveConfig<T, S>>,
@@ -299,8 +325,6 @@ pub struct OmniPaxosServer<T: Entry, S: Storage<T> = MemoryStorage<T>> {
     pending: Vec<T>,
     ticks_since_retry: u64,
     outgoing: Vec<(NodeId, ServiceMsg<T>)>,
-    /// Number of reconfigurations completed at this server.
-    reconfigurations: u32,
     /// Donor-side cache of recently served segments, keyed by start index.
     /// Decided entries are immutable, so a cached chunk never goes stale;
     /// joiners issue stripe-aligned requests, so during a reconfiguration
@@ -336,7 +360,7 @@ impl<T: Entry, S: Storage<T> + Default> OmniPaxosServer<T, S> {
     /// Create a fresh joiner: it stays [`ServerRole::Idle`] until an
     /// existing server announces a configuration that includes it.
     pub fn new_joiner(config: ServerConfig) -> Self {
-        Self::new_joiner_with_factory(config, |_| S::default())
+        Self::empty(config, Box::new(|_| S::default()))
     }
 }
 
@@ -362,30 +386,19 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         server.active = Some(ActiveConfig {
             nodes,
             omni,
-            applied_idx: 0,
             base: 0,
-            stopped: false,
         });
         server
-    }
-
-    /// A joiner whose eventual configurations build their storage through
-    /// `make_storage` (see [`OmniPaxosServer::with_storage_factory`]).
-    pub fn new_joiner_with_factory(
-        config: ServerConfig,
-        make_storage: impl Fn(u32) -> S + Send + 'static,
-    ) -> Self {
-        OmniPaxosServer::empty(config, Box::new(make_storage))
     }
 
     fn empty(config: ServerConfig, make_storage: Box<dyn Fn(u32) -> S + Send>) -> Self {
         OmniPaxosServer {
             config,
-            log: Vec::new(),
+            history: Vec::new(),
             log_start: 0,
             snapshot: None,
             snapshot_event: None,
-            polled_idx: 0,
+            delivered: 0,
             config_id: 0,
             role: ServerRole::Idle,
             active: None,
@@ -394,7 +407,6 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
             pending: Vec::new(),
             ticks_since_retry: 0,
             outgoing: Vec::new(),
-            reconfigurations: 0,
             segment_cache: HashMap::new(),
             make_storage,
         }
@@ -433,10 +445,10 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         self.role
     }
 
-    /// The decided service-layer log above the compaction point: entry `i`
-    /// of the slice is service entry `log_start() + i`.
-    pub fn log(&self) -> &[T] {
-        &self.log
+    /// The decided service-layer log above the compaction point: the
+    /// `i`-th entry is service entry `log_start() + i`.
+    pub fn log(&self) -> impl Iterator<Item = &T> + '_ {
+        self.entries_from(self.log_start)
     }
 
     /// Absolute index of the first retained log entry (0 until the owner
@@ -447,7 +459,30 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
 
     /// Total decided service-log length, counting the compacted prefix.
     pub fn decided_len(&self) -> u64 {
-        self.log_start + self.log.len() as u64
+        let history_end = self.history_end();
+        self.active
+            .as_ref()
+            .map_or(history_end, |a| history_end.max(a.decided_end()))
+    }
+
+    fn history_end(&self) -> u64 {
+        self.log_start + self.history.len() as u64
+    }
+
+    /// Decided entries from absolute index `from` on: the history first,
+    /// then the running configuration's, read in place from its storage.
+    fn entries_from(&self, from: u64) -> impl Iterator<Item = &T> + '_ {
+        let from = from.max(self.log_start);
+        let history_end = self.history_end();
+        let past = &self.history[(from.min(history_end) - self.log_start) as usize..];
+        // The history ends where the running configuration begins, or past
+        // it if a snapshot does.
+        let live = self
+            .active
+            .as_ref()
+            .map_or(&[][..], |a| a.decided(from.max(history_end) - a.base));
+        past.iter()
+            .chain(live.iter().filter_map(LogEntry::as_normal))
     }
 
     /// The state-machine snapshot superseding the compacted prefix, if any:
@@ -489,12 +524,18 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
                 }
             }
         }
-        self.log.drain(..(upto - self.log_start) as usize);
-        self.log_start = upto;
-        self.polled_idx = self.polled_idx.max(upto);
-        self.segment_cache.clear();
+        self.trim_history(upto);
         self.snapshot = Some((upto, data));
         Ok(())
+    }
+
+    /// Move the compaction point up to `idx`, which a snapshot covers.
+    fn trim_history(&mut self, idx: u64) {
+        let drop = idx.min(self.history_end()) - self.log_start;
+        self.history.drain(..drop as usize);
+        self.log_start = idx;
+        self.delivered = self.delivered.max(idx);
+        self.segment_cache.clear();
     }
 
     /// A snapshot adopted from a peer since the last call (snapshot-first
@@ -509,10 +550,10 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
 
     /// Entries decided since the last call (client notifications),
     /// borrowed from the log: the caller applies them by reference.
-    pub fn poll_applied(&mut self) -> &[T] {
-        let from = (self.polled_idx.max(self.log_start) - self.log_start) as usize;
-        self.polled_idx = self.decided_len();
-        &self.log[from..]
+    pub fn poll_applied(&mut self) -> impl Iterator<Item = &T> + '_ {
+        let from = self.delivered;
+        self.delivered = from.max(self.decided_len());
+        self.entries_from(from)
     }
 
     /// Absolute service-log index of the first entry the next
@@ -521,7 +562,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     /// entries); the chaos harness uses it to position drained entries in
     /// the cluster-wide decided history.
     pub fn applied_cursor(&self) -> u64 {
-        self.polled_idx.max(self.log_start)
+        self.delivered
     }
 
     /// The active instance's ballot audit log (every ballot this server
@@ -532,24 +573,6 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
             .as_ref()
             .map(|a| a.omni.ballot_audit())
             .unwrap_or(&[])
-    }
-
-    /// How many reconfigurations this server has completed.
-    pub fn reconfigurations(&self) -> u32 {
-        self.reconfigurations
-    }
-
-    /// Progress of an in-flight log migration, if one is running:
-    /// `(target_len, have, snapshot_pull_pending)`. `None` while not
-    /// migrating. For observability (metrics, the chaos harness debug dump).
-    pub fn migration_status(&self) -> Option<(u64, u64, bool)> {
-        self.migration.as_ref().map(|m| {
-            (
-                m.target_len,
-                self.log_start + self.log.len() as u64,
-                m.snap.is_some(),
-            )
-        })
     }
 
     /// Is this server the leader of the active configuration?
@@ -722,7 +745,9 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     }
 
     /// Crash-recover this server: protocol state is rebuilt from the
-    /// (simulated) persistent storage; the service-layer log survives.
+    /// (simulated) persistent storage, which drops its unsynced tail. No
+    /// delivered entry is in that tail (apply after persist), and the
+    /// history of closed configurations survives.
     pub fn fail_recovery(&mut self) {
         self.outgoing.clear();
         if let Some(active) = &mut self.active {
@@ -756,9 +781,9 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     ///
     /// Non-sticky: re-check per read or per admission batch, never cache.
     pub fn lease_valid(&self) -> bool {
-        self.active.as_ref().is_some_and(|a| {
-            !a.stopped && a.omni.decided_stopsign().is_none() && a.omni.lease_valid()
-        })
+        self.active
+            .as_ref()
+            .is_some_and(|a| a.omni.decided_stopsign().is_none() && a.omni.lease_valid())
     }
 
     /// The absolute service-log index a lease read must wait for: serve
@@ -767,7 +792,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     /// is not an Accept-phase leader or its configuration is ending.
     pub fn read_barrier(&self) -> Option<u64> {
         let a = self.active.as_ref()?;
-        if a.stopped || a.omni.decided_stopsign().is_some() {
+        if a.omni.decided_stopsign().is_some() {
             return None;
         }
         Some(a.base + a.omni.read_barrier()?)
@@ -783,7 +808,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         let Some(a) = &mut self.active else {
             return Err(ReadIndexErr::NoLeader);
         };
-        if a.stopped || a.omni.decided_stopsign().is_some() {
+        if a.omni.decided_stopsign().is_some() {
             return Err(ReadIndexErr::NoLeader);
         }
         a.omni.request_read_index(token)
@@ -827,77 +852,60 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Apply newly decided entries of the active instance to the service
-    /// log, and run the reconfiguration handover when a stop-sign decides.
+    /// Adopt a snapshot the active instance installed, and run the
+    /// reconfiguration handover once its stop-sign is decided and durable.
+    /// Entries stay in the instance's storage; nothing is copied here.
     fn pump_active(&mut self) {
         // A snapshot installed by the replication layer (chunked transfer
         // from the leader after this follower's missing prefix was
-        // compacted away) supersedes the service log below its index:
-        // adopt it before applying entries, and skip the apply cursor past
-        // it — the owner restores the state machine from the snapshot.
+        // compacted away) supersedes the service log below its index: the
+        // delivery cursor skips past it, and the owner restores the state
+        // machine from the snapshot.
         let installed = self.active.as_mut().and_then(|a| {
             let (omni_idx, data) = a.omni.take_installed_snapshot()?;
-            a.applied_idx = a.applied_idx.max(omni_idx);
             Some((a.base + omni_idx, data))
         });
         if let Some((abs, data)) = installed {
             self.adopt_snapshot(abs, data);
         }
-        let Some(active) = &mut self.active else {
-            return;
-        };
-        // Borrow the decided suffix in place (disjoint field borrows:
-        // `active.omni` is read, `self.log` is extended) — applying a large
-        // decided batch allocates nothing beyond the log's own growth.
-        let log = &mut self.log;
-        let decided = active.omni.decided_ref(active.applied_idx);
-        if decided.is_empty() {
-            return;
-        }
-        active.applied_idx += decided.len() as u64;
-        let mut stopsign = None;
-        log.reserve(decided.len());
-        for entry in decided {
-            match entry {
-                LogEntry::Normal(t) => log.push(t.clone()),
-                LogEntry::StopSign(ss) => stopsign = Some(ss.clone()),
-            }
-        }
+        let stopsign = self.active.as_ref().and_then(|a| {
+            let durable = a.omni.stopsign_idx()? < a.omni.durable_decided_idx();
+            durable.then(|| a.omni.decided_stopsign()).flatten()
+        });
         if let Some(ss) = stopsign {
-            if !active.stopped {
-                active.stopped = true;
-                self.handover(*ss);
-            }
+            self.handover(ss);
         }
     }
 
     /// Adopt a peer's snapshot as the new service-log prefix: entries below
     /// `idx` are superseded, the owner is handed the snapshot to restore
-    /// from, and applied/polled cursors jump past it.
+    /// from, and the delivery cursor jumps past it.
     fn adopt_snapshot(&mut self, idx: u64, data: SnapshotData) {
         if idx <= self.log_start {
             return; // stale: already compacted at least this far
         }
-        if idx >= self.decided_len() {
-            self.log.clear();
-        } else {
-            self.log.drain(..(idx - self.log_start) as usize);
-        }
-        self.log_start = idx;
-        self.polled_idx = self.polled_idx.max(idx);
-        self.segment_cache.clear();
+        self.trim_history(idx);
         self.snapshot = Some((idx, data.clone()));
         self.snapshot_event = Some((idx, data));
+    }
+
+    /// Stop running the active configuration. Its decided entries move
+    /// into the history first: one copy per reconfiguration, never one
+    /// per decide. Returns its members.
+    fn close_active(&mut self) -> Vec<NodeId> {
+        let Some(a) = self.active.take() else {
+            return Vec::new();
+        };
+        let from = self.history_end() - a.base;
+        let entries = a.decided(from).iter().filter_map(LogEntry::as_normal);
+        self.history.extend(entries.cloned());
+        a.nodes
     }
 
     /// The stop-sign has been decided in the current configuration (§6):
     /// start the next configuration and notify new servers.
     fn handover(&mut self, ss: StopSign) {
-        let old_nodes = self
-            .active
-            .as_ref()
-            .map(|a| a.nodes.clone())
-            .unwrap_or_default();
+        let old_nodes = self.close_active();
         let log_len = self.decided_len();
         // Notify every other server involved in the switch: new servers of
         // c_{i+1} missed the stop-sign entirely, and old servers may not
@@ -930,7 +938,6 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
             self.start_config(ss, log_len);
         } else {
             self.role = ServerRole::Retired;
-            self.active = None;
         }
     }
 
@@ -957,7 +964,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
             // of the next one: retire (keep donating segments).
             if self.config_id == ss.config_id - 1 {
                 self.role = ServerRole::Retired;
-                self.active = None;
+                self.close_active();
                 self.outgoing.push((
                     from,
                     ServiceMsg::ConfigStarted {
@@ -1011,7 +1018,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         // complete log has been fetched. A continuing-but-lagging old
         // server also takes this path for its missing suffix; its old
         // instance is stopped (c_i can decide nothing after the stop-sign).
-        self.active = None;
+        self.close_active();
         self.role = ServerRole::Migrating;
         let donors = match self.config.scheme {
             MigrationScheme::Parallel => old_nodes.clone(),
@@ -1039,7 +1046,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         // instead of re-copying it through capacity doublings as chunks
         // fold in.
         let floor = snap.as_ref().map_or(self.decided_len(), |s| s.idx);
-        self.log.reserve(log_len.saturating_sub(floor) as usize);
+        self.history.reserve(log_len.saturating_sub(floor) as usize);
         self.migration = Some(MigrationState {
             ss,
             donors,
@@ -1141,18 +1148,18 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         let entries = match self.segment_cache.get(&lo) {
             Some((cached_end, batch)) if *cached_end <= served_to => Arc::clone(batch),
             _ => {
-                let mut end = lo;
                 let mut bytes = 0usize;
-                while end < served_to
-                    && end - lo < self.config.chunk_entries
-                    && bytes < self.config.chunk_bytes
-                {
-                    bytes += self.log[(end - self.log_start) as usize].size_bytes();
-                    end += 1;
-                }
-                let batch: Arc<[T]> = self.log
-                    [(lo - self.log_start) as usize..(end - self.log_start) as usize]
-                    .into();
+                let batch: Arc<[T]> = self
+                    .entries_from(lo)
+                    .take((served_to - lo).min(self.config.chunk_entries) as usize)
+                    .take_while(|e| {
+                        let more = bytes < self.config.chunk_bytes;
+                        bytes += e.size_bytes();
+                        more
+                    })
+                    .cloned()
+                    .collect();
+                let end = lo + batch.len() as u64;
                 if self.segment_cache.len() >= SEGMENT_CACHE_MAX {
                     self.segment_cache.clear();
                 }
@@ -1179,21 +1186,13 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         _served_to: u64,
         requested_to: u64,
     ) {
-        let log_start = self.log_start;
         let Some(mig) = &mut self.migration else {
             return;
         };
         let chunk_end = start + entries.len() as u64;
-        let cursor = log_start + self.log.len() as u64;
-        if !entries.is_empty() && chunk_end > cursor {
-            if start <= cursor {
-                // In-order arrival (the common case of a healthy donor
-                // stream): fold directly, skipping the out-of-order map.
-                self.log
-                    .extend_from_slice(&entries[(cursor - start) as usize..]);
-            } else {
-                mig.chunks.insert(start, entries);
-            }
+        if !entries.is_empty() {
+            // Folded into the history below once contiguous with it.
+            mig.chunks.insert(start, entries);
         }
         if chunk_end > start && chunk_end < requested_to {
             // Pull the next chunk of this donor's current range.
@@ -1228,7 +1227,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
             return;
         };
         loop {
-            let cursor = self.log_start + self.log.len() as u64;
+            let cursor = self.log_start + self.history.len() as u64;
             let Some((&start, _)) = mig.chunks.range(..=cursor).next_back() else {
                 break;
             };
@@ -1238,7 +1237,7 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
                 continue; // fully duplicate (or superseded by a snapshot)
             }
             let skip = (cursor - start) as usize;
-            self.log.extend_from_slice(&chunk[skip..]);
+            self.history.extend_from_slice(&chunk[skip..]);
         }
     }
 
@@ -1246,9 +1245,10 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     /// (if one is being pulled) and every entry up to the target length
     /// must have arrived.
     fn maybe_finish_migration(&mut self) {
-        let done = self.migration.as_ref().is_some_and(|mig| {
-            mig.snap.is_none() && self.log_start + self.log.len() as u64 >= mig.target_len
-        });
+        let done = self
+            .migration
+            .as_ref()
+            .is_some_and(|mig| mig.snap.is_none() && self.history_end() >= mig.target_len);
         if done {
             let mig = self.migration.take().expect("checked above");
             let donors = mig.donors.clone();
@@ -1372,11 +1372,13 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
     /// snapshot-first catch-up may hold a snapshot extending *past* the
     /// boundary (the donor had compacted into the new configuration's
     /// entries), in which case its decided length already includes a
-    /// prefix of the new instance's log. That prefix is recorded in
-    /// `applied_idx` so it is not delivered a second time at shifted
+    /// prefix of the new instance's log. The delivery cursor already sits
+    /// past that prefix, so it is not delivered a second time at shifted
     /// positions.
     fn start_config(&mut self, ss: StopSign, base: u64) {
         debug_assert!(ss.next_nodes.contains(&self.config.pid));
+        self.close_active();
+        debug_assert!(self.log_start > base || self.history_end() == base);
         self.config_id = ss.config_id;
         self.role = ServerRole::Active;
         self.migration = None;
@@ -1389,11 +1391,8 @@ impl<T: Entry, S: Storage<T>> OmniPaxosServer<T, S> {
         self.active = Some(ActiveConfig {
             nodes: ss.next_nodes,
             omni,
-            applied_idx: self.decided_len().saturating_sub(base),
             base,
-            stopped: false,
         });
-        self.reconfigurations += 1;
     }
 
     fn retry_migration(&mut self) {
@@ -1452,7 +1451,7 @@ impl<T: Entry, S: Storage<T>> std::fmt::Debug for OmniPaxosServer<T, S> {
             .field("pid", &self.config.pid)
             .field("config_id", &self.config_id)
             .field("role", &self.role)
-            .field("log_len", &self.log.len())
+            .field("decided_len", &self.decided_len())
             .finish()
     }
 }
@@ -1480,7 +1479,7 @@ mod tests {
         assert_eq!(j.config_id(), 0);
         // Proposals while idle are parked, not lost or errored.
         j.propose(5).expect("buffered");
-        assert!(j.log().is_empty());
+        assert_eq!(j.log().count(), 0);
     }
 
     #[test]
@@ -1672,7 +1671,7 @@ mod tests {
         let (mut s, snap) = compacted_donor(1);
         assert_eq!(s.log_start(), 15);
         assert_eq!(s.decided_len(), 20);
-        assert_eq!(s.log(), &[15, 16, 17, 18, 19]);
+        assert!(s.log().eq(&[15, 16, 17, 18, 19]));
         assert_eq!(s.snapshot(), Some((15, snap.clone())));
         assert_eq!(s.omni().unwrap().compacted_idx(), 15);
         // Errors surface instead of silently trimming.
@@ -1798,7 +1797,7 @@ mod tests {
         assert_eq!(j.config_id(), 2);
         assert_eq!(j.log_start(), 15);
         assert_eq!(j.decided_len(), 20);
-        assert_eq!(j.log(), &[15, 16, 17, 18, 19]);
+        assert!(j.log().eq(&[15, 16, 17, 18, 19]));
         assert_eq!(
             j.take_snapshot_event(),
             Some((15, snap)),

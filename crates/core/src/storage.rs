@@ -190,6 +190,17 @@ pub trait Storage<T: Entry> {
     /// Index up to which the log is decided (exclusive).
     fn get_decided_idx(&self) -> u64;
 
+    /// Index up to which decided entries would survive a crash right now
+    /// (exclusive; never above [`Storage::get_decided_idx`]). Decided
+    /// entries are delivered to the application only below it — apply
+    /// after persist: a follower can learn that entries are decided in the
+    /// same call that appends them, before the flush that makes them
+    /// durable. The default suits storage whose every mutation is durable
+    /// at once, as memory is for the simulator.
+    fn durable_decided_idx(&self) -> u64 {
+        self.get_decided_idx()
+    }
+
     /// Borrowed view of the entries in `[from, to)` (absolute indices,
     /// `to` clamped to the log length). Panics if the range reaches into
     /// the compacted prefix. This is the primitive read: every other read

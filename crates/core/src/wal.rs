@@ -268,6 +268,9 @@ pub struct WalStorage<T: WalEncode> {
     accepted_round: Ballot,
     decided_idx: u64,
     snapshot: Option<SnapshotRef>,
+    /// Log length the last successful sync (or checkpoint, or the replay
+    /// at open) put on disk: decided entries below it survive a crash.
+    synced_len: u64,
     /// Records appended since the last checkpoint.
     records_since_checkpoint: u64,
     /// Rewrite the file after this many records (0 = never).
@@ -320,6 +323,7 @@ impl<T: WalEncode> WalStorage<T> {
             accepted_round: Ballot::bottom(),
             decided_idx: 0,
             snapshot: None,
+            synced_len: 0,
             records_since_checkpoint: 0,
             checkpoint_every: 100_000,
             pending_appends: 0,
@@ -332,6 +336,7 @@ impl<T: WalEncode> WalStorage<T> {
             entries_since_sync: 0,
         };
         storage.replay(&bytes)?;
+        storage.synced_len = storage.get_log_len();
         Ok(storage)
     }
 
@@ -608,6 +613,9 @@ impl<T: WalEncode> WalStorage<T> {
                 return Err(e);
             }
         }
+        if sync {
+            self.synced_len = self.get_log_len();
+        }
         if self.checkpoint_every > 0 && self.records_since_checkpoint >= self.checkpoint_every {
             self.checkpoint()?;
         }
@@ -726,6 +734,7 @@ impl<T: WalEncode> WalStorage<T> {
             .open(&self.path)?;
         self.file_len = frame.len() as u64;
         self.records_since_checkpoint = 0;
+        self.synced_len = self.get_log_len();
         Ok(())
     }
 
@@ -811,6 +820,8 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
         self.materialize_appends();
         let rel = self.rel(from_idx);
         self.log.truncate(rel);
+        // What replaces the truncated tail is not on disk until the next sync.
+        self.synced_len = self.synced_len.min(from_idx);
         self.buffer_record(TAG_TRUNCATE, |b| {
             b.extend_from_slice(&from_idx.to_le_bytes())
         });
@@ -848,6 +859,13 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
 
     fn get_decided_idx(&self) -> u64 {
         self.decided_idx
+    }
+
+    /// Decided entries the last successful sync wrote. The decided index
+    /// itself may still be in the write buffer: a crash then loses the
+    /// mark, not the entries, which are chosen and re-decided in place.
+    fn durable_decided_idx(&self) -> u64 {
+        self.decided_idx.min(self.synced_len)
     }
 
     fn entries_ref(&self, from: u64, to: u64) -> &[LogEntry<T>] {
@@ -933,6 +951,7 @@ impl<T: WalEncode> Storage<T> for WalStorage<T> {
         // The whole local log is superseded; drop any pending appends of it.
         self.pending_appends = 0;
         self.log.clear();
+        self.synced_len = self.synced_len.min(idx);
         self.compacted_idx = idx;
         self.decided_idx = idx;
         self.snapshot = Some(SnapshotRef {
@@ -1025,6 +1044,28 @@ mod tests {
         assert_eq!(w.get_decided_idx(), 4);
         assert_eq!(w.get_promise(), Ballot::new(3, 0, 2));
         assert_eq!(w.get_entries(0, 5), (1..=5).map(norm).collect::<Vec<_>>());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn decided_entries_are_durable_only_once_synced() {
+        let path = tmp("durable");
+        {
+            let mut w: WalStorage<u64> = WalStorage::open(&path).unwrap();
+            w.append_entries((1..=5).map(norm).collect()).unwrap();
+            w.set_decided_idx(4).unwrap();
+            assert_eq!(w.durable_decided_idx(), 0, "decided, not yet on disk");
+            w.sync().unwrap();
+            assert_eq!(w.durable_decided_idx(), 4);
+            // A rewritten suffix is not on disk until the next sync.
+            w.append_on_prefix(4, vec![norm(9), norm(10)]).unwrap();
+            w.set_decided_idx(6).unwrap();
+            assert_eq!(w.durable_decided_idx(), 4);
+            w.sync().unwrap();
+            assert_eq!(w.durable_decided_idx(), 6);
+        }
+        let w: WalStorage<u64> = WalStorage::open(&path).unwrap();
+        assert_eq!(w.durable_decided_idx(), w.get_decided_idx());
         std::fs::remove_file(&path).unwrap();
     }
 

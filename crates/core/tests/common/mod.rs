@@ -171,16 +171,12 @@ impl TestCluster {
         let longest = self
             .servers
             .iter()
-            .max_by_key(|s| s.log().len())
+            .max_by_key(|s| s.log().count())
             .expect("non-empty cluster");
         for s in &self.servers {
-            let log = s.log();
-            assert_eq!(
-                log,
-                &longest.log()[..log.len()],
-                "log of pid {} is not a prefix",
-                s.pid()
-            );
+            let log: Vec<u64> = s.log().copied().collect();
+            let prefix: Vec<u64> = longest.log().take(log.len()).copied().collect();
+            assert_eq!(log, prefix, "log of pid {} is not a prefix", s.pid());
         }
     }
 }

@@ -22,7 +22,7 @@ fn half_duplex_leader_loses_quorum_connectivity_and_is_replaced() {
     for v in 1..=3 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 3));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 3));
     // Break only the *inbound* direction of both of the leader's links:
     // the leader can still send heartbeat requests, but no replies reach
     // it, so it is not full-duplex quorum-connected.
@@ -44,7 +44,7 @@ fn half_duplex_leader_loses_quorum_connectivity_and_is_replaced() {
         .pid();
     c.server(new_leader).propose(4).unwrap();
     c.run_until(SETTLE, |c| {
-        c.servers.iter().filter(|s| s.log().len() == 4).count() >= 2
+        c.servers.iter().filter(|s| s.log().count() == 4).count() >= 2
     });
     c.assert_log_prefixes();
 }
@@ -66,7 +66,7 @@ fn half_duplex_follower_link_does_not_disturb_leadership() {
         "leadership must not churn on a follower half-duplex failure"
     );
     c.propose_via_leader(1);
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log() == [1]));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().eq(&[1])));
 }
 
 // ----------------------------------------------------------------------
@@ -103,7 +103,7 @@ fn takeover_prefers_the_better_connected_candidate() {
     // Progress with the new leader.
     c.server(final_leader).propose(7).unwrap();
     c.run_until(SETTLE, |c| {
-        c.servers.iter().filter(|s| s.log() == [7]).count() >= 3
+        c.servers.iter().filter(|s| s.log().eq(&[7])).count() >= 3
     });
     let _ = well;
 }

@@ -301,13 +301,13 @@ fn replication_is_a_permutation_free_total_order() {
             c.step();
         }
         c.run_until(600, |c| {
-            c.servers.iter().all(|s| s.log().len() == submitted.len())
+            c.servers.iter().all(|s| s.log().count() == submitted.len())
         });
         c.assert_log_prefixes();
         // The decided log is exactly the submitted multiset (order may
         // differ from submission order across servers, but no loss, no
         // duplication, no invention).
-        let mut decided = c.servers[0].log().to_vec();
+        let mut decided = c.servers[0].log().copied().collect::<Vec<_>>();
         decided.sort_unstable();
         let mut expected = submitted.clone();
         expected.sort_unstable();

@@ -23,9 +23,9 @@ fn replicates_and_decides_entries_on_all_servers() {
     for v in 1..=10 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 10));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 10));
     for s in &c.servers {
-        assert_eq!(s.log(), &(1..=10).collect::<Vec<u64>>());
+        assert!(s.log().copied().eq(1..=10));
     }
 }
 
@@ -36,7 +36,7 @@ fn proposals_from_followers_are_forwarded_to_the_leader() {
     let leader = c.leader_pid().unwrap();
     let follower = (1..=3).find(|&p| p != leader).unwrap();
     c.server(follower).propose(99).unwrap();
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log() == [99]));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().eq(&[99])));
 }
 
 #[test]
@@ -49,9 +49,9 @@ fn five_servers_replicate_under_load() {
             c.step();
         }
     }
-    c.run_until(1000, |c| c.servers.iter().all(|s| s.log().len() == 500));
+    c.run_until(1000, |c| c.servers.iter().all(|s| s.log().count() == 500));
     c.assert_log_prefixes();
-    assert_eq!(c.servers[0].log(), &(0..500).collect::<Vec<u64>>());
+    assert!(c.servers[0].log().copied().eq(0..500));
 }
 
 #[test]
@@ -61,7 +61,7 @@ fn leader_crash_fails_over_without_losing_decided_entries() {
     for v in 1..=5 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 5));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 5));
     let old_leader = c.leader_pid().unwrap();
     c.isolate(old_leader);
     // A new leader among the remaining majority.
@@ -81,12 +81,12 @@ fn leader_crash_fails_over_without_losing_decided_entries() {
         c.servers
             .iter()
             .filter(|s| s.pid() != old_leader)
-            .all(|s| s.log().len() == 6)
+            .all(|s| s.log().count() == 6)
     });
     c.assert_log_prefixes();
     // Healing lets the old leader rejoin and catch up.
     c.heal_all();
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 6));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 6));
     c.assert_log_prefixes();
 }
 
@@ -99,7 +99,7 @@ fn quorum_loss_scenario_recovers_via_hub_server() {
     for v in 1..=3 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 3));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 3));
     let hub: NodeId = 1;
     // Cut every link except those to the hub.
     for a in 2..=5 {
@@ -111,7 +111,7 @@ fn quorum_loss_scenario_recovers_via_hub_server() {
     c.run_until(SETTLE, |c| c.servers[hub as usize - 1].is_leader());
     c.server(hub).propose(4).unwrap();
     c.run_until(SETTLE, |c| {
-        c.servers.iter().filter(|s| s.log().len() == 4).count() >= 3
+        c.servers.iter().filter(|s| s.log().count() == 4).count() >= 3
     });
     c.assert_log_prefixes();
 }
@@ -134,10 +134,10 @@ fn constrained_election_scenario_elects_server_with_outdated_log() {
         c.servers
             .iter()
             .filter(|s| s.pid() != hub)
-            .all(|s| s.log().len() == 5)
+            .all(|s| s.log().count() == 5)
     });
     assert!(
-        c.server(hub).log().len() < 5,
+        c.server(hub).log().count() < 5,
         "hub must be outdated for this scenario"
     );
     // Now fully partition the old leader, and cut all remaining links
@@ -153,10 +153,10 @@ fn constrained_election_scenario_elects_server_with_outdated_log() {
     // Only the hub is QC; it gets elected despite the outdated log and
     // adopts the missing entries in the Prepare phase.
     c.run_until(SETTLE, |c| c.servers[hub as usize - 1].is_leader());
-    c.run_until(SETTLE, |c| c.servers[hub as usize - 1].log().len() == 5);
+    c.run_until(SETTLE, |c| c.servers[hub as usize - 1].log().count() == 5);
     c.server(hub).propose(6).unwrap();
     c.run_until(SETTLE, |c| {
-        c.servers.iter().filter(|s| s.log().len() == 6).count() >= 3
+        c.servers.iter().filter(|s| s.log().count() == 6).count() >= 3
     });
     c.assert_log_prefixes();
 }
@@ -174,7 +174,7 @@ fn chained_scenario_single_leader_change_no_livelock() {
     for v in 1..=3 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 3));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 3));
     c.cut_link(b, cc);
     // C (or the chain generally) elects a new leader; progress resumes via
     // the pair {A, C} or {A, B} depending on ballots — but crucially it
@@ -193,7 +193,7 @@ fn chained_scenario_single_leader_change_no_livelock() {
     // The leader must be able to commit: propose through it and verify.
     c.server(stable_leader).propose(4).unwrap();
     c.run_until(SETTLE, |c| {
-        c.servers.iter().filter(|s| s.log().len() == 4).count() >= 2
+        c.servers.iter().filter(|s| s.log().count() == 4).count() >= 2
     });
     // Stability: no further leader changes over a long quiet period.
     let leader_ballot = c.server(a).leader();
@@ -213,7 +213,7 @@ fn crash_recovery_rejoins_and_catches_up() {
     for v in 1..=5 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 5));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 5));
     let leader = c.leader_pid().unwrap();
     let victim = (1..=3).find(|&p| p != leader).unwrap();
     // Crash: isolate + recover protocol state from storage.
@@ -225,11 +225,11 @@ fn crash_recovery_rejoins_and_catches_up() {
         c.servers
             .iter()
             .filter(|s| s.pid() != victim)
-            .all(|s| s.log().len() == 8)
+            .all(|s| s.log().count() == 8)
     });
     c.server(victim).fail_recovery();
     c.heal_all();
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 8));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 8));
     c.assert_log_prefixes();
 }
 
@@ -240,15 +240,15 @@ fn leader_crash_and_recovery_preserves_decided_log() {
     for v in 1..=4 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 4));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 4));
     let leader = c.leader_pid().unwrap();
     c.isolate(leader);
     c.server(leader).fail_recovery();
     c.heal_all();
     c.run_until(SETTLE, |c| c.leader_pid().is_some());
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() >= 4));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() >= 4));
     c.assert_log_prefixes();
     for s in &c.servers {
-        assert_eq!(&s.log()[..4], &[1, 2, 3, 4]);
+        assert!(s.log().take(4).eq(&[1, 2, 3, 4]));
     }
 }

@@ -19,7 +19,7 @@ fn warmed_cluster(n_entries: u64) -> TestCluster {
     c.run_until(SETTLE, |c| {
         c.servers
             .iter()
-            .all(|s| s.log().len() == n_entries as usize)
+            .all(|s| s.log().count() == n_entries as usize)
     });
     c
 }
@@ -33,7 +33,7 @@ fn stop_sign_blocks_further_proposals() {
     c.server(leader).propose(100).unwrap();
     c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.config_id() == 2));
     // The buffered proposal lands in configuration 2.
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 6));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 6));
     assert_eq!(c.servers[0].log().last(), Some(&100));
 }
 
@@ -47,7 +47,7 @@ fn replace_one_server_with_parallel_migration() {
     let new_nodes: Vec<NodeId> = (1..=4).filter(|&p| p != replaced).collect();
     c.server(leader).reconfigure(new_nodes.clone()).unwrap();
     c.run_until(SETTLE, |c| {
-        c.servers[3].role() == ServerRole::Active && c.servers[3].log().len() == 50
+        c.servers[3].role() == ServerRole::Active && c.servers[3].log().count() == 50
     });
     assert_eq!(c.server(replaced).role(), ServerRole::Retired);
     assert_eq!(c.server(4).config_id(), 2);
@@ -87,8 +87,8 @@ fn replace_majority_of_servers() {
     c.run_until(800, |c| {
         c.servers[3].role() == ServerRole::Active
             && c.servers[4].role() == ServerRole::Active
-            && c.servers[3].log().len() == 30
-            && c.servers[4].log().len() == 30
+            && c.servers[3].log().count() == 30
+            && c.servers[4].log().count() == 30
     });
     // New configuration makes progress.
     c.run_until(SETTLE, |c| {
@@ -107,7 +107,7 @@ fn leader_only_migration_also_completes() {
     for v in 0..40 {
         c.propose_via_leader(v);
     }
-    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().len() == 40));
+    c.run_until(SETTLE, |c| c.servers.iter().all(|s| s.log().count() == 40));
     c.add_joiner(4);
     let leader = c.leader_pid().unwrap();
     let mut new_nodes: Vec<NodeId> = vec![4];
@@ -115,7 +115,7 @@ fn leader_only_migration_also_completes() {
     new_nodes.push(leader);
     c.server(leader).reconfigure(new_nodes).unwrap();
     c.run_until(800, |c| {
-        c.servers[3].role() == ServerRole::Active && c.servers[3].log().len() == 40
+        c.servers[3].role() == ServerRole::Active && c.servers[3].log().count() == 40
     });
 }
 
@@ -133,7 +133,7 @@ fn migration_survives_a_dead_donor() {
     let new_nodes: Vec<NodeId> = (1..=4).filter(|&p| p != dead_donor).collect();
     c.server(leader).reconfigure(new_nodes).unwrap();
     c.run_until(2000, |c| {
-        c.servers[3].role() == ServerRole::Active && c.servers[3].log().len() == 60
+        c.servers[3].role() == ServerRole::Active && c.servers[3].log().count() == 60
     });
     c.assert_log_prefixes();
 }
@@ -174,7 +174,7 @@ fn chained_reconfigurations() {
             .iter()
             .all(|&p| c.servers[p as usize - 1].config_id() == 3)
     });
-    assert_eq!(c.server(5).log().len(), 10);
+    assert_eq!(c.server(5).log().count(), 10);
     c.assert_log_prefixes();
 }
 
@@ -195,8 +195,11 @@ fn proposals_during_migration_are_buffered_and_flushed() {
         c.servers
             .iter()
             .filter(|s| new_nodes.contains(&s.pid()))
-            .all(|s| s.log().len() == 40)
+            .all(|s| s.log().count() == 40)
     });
-    let log = c.servers[leader as usize - 1].log().to_vec();
+    let log = c.servers[leader as usize - 1]
+        .log()
+        .copied()
+        .collect::<Vec<_>>();
     assert_eq!(&log[20..], &(1000..1020).collect::<Vec<u64>>()[..]);
 }

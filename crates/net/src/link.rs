@@ -11,7 +11,7 @@
 
 use omnipaxos::NodeId;
 use simulator::{Network, NetworkConfig, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::Thread;
@@ -249,6 +249,9 @@ pub trait NetworkLink<M>: Send {
 
 struct HubState<M> {
     net: Network<M>,
+    nodes: Vec<NodeId>,
+    /// Crashed nodes: they hold no sessions until they recover.
+    down: HashSet<NodeId>,
     /// Delivered-but-not-polled events, per node.
     ready: HashMap<NodeId, VecDeque<LinkEvent<M>>>,
     /// Session number per unordered pair, bumped on every establish.
@@ -258,6 +261,44 @@ struct HubState<M> {
 
 fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     (a.min(b), a.max(b))
+}
+
+impl<M> HubState<M> {
+    /// Live peers of `node` whose link to it is up.
+    fn reachable_peers(&self, node: NodeId) -> Vec<NodeId> {
+        let links = self.net.links();
+        self.nodes
+            .iter()
+            .copied()
+            .filter(|&p| p != node && !self.down.contains(&p) && links.is_up(node, p))
+            .collect()
+    }
+
+    fn tell(&mut self, me: NodeId, ev: LinkEvent<M>) {
+        let c = self.counters.entry(me).or_default();
+        match ev {
+            LinkEvent::SessionEstablished { .. } => c.sessions_established += 1,
+            LinkEvent::SessionDropped { .. } => c.sessions_dropped += 1,
+            LinkEvent::Message { .. } => {}
+        }
+        self.ready.entry(me).or_default().push_back(ev);
+    }
+
+    /// Establish a new session (previous + 1) between `a` and `b` and
+    /// tell both sides.
+    fn establish(&mut self, a: NodeId, b: NodeId) {
+        let session = {
+            let e = self.sessions.entry(pair(a, b)).or_insert(0);
+            *e += 1;
+            *e
+        };
+        self.tell(a, LinkEvent::SessionEstablished { peer: b, session });
+        self.tell(b, LinkEvent::SessionEstablished { peer: a, session });
+    }
+
+    fn session(&self, a: NodeId, b: NodeId) -> u64 {
+        *self.sessions.get(&pair(a, b)).unwrap_or(&1)
+    }
 }
 
 /// The deterministic backend: wraps the discrete-event [`Network`] and
@@ -285,6 +326,8 @@ impl<M: MsgSize> SimHub<M> {
         let nodes = config.nodes.clone();
         let mut state = HubState {
             net: Network::new(config),
+            nodes: nodes.clone(),
+            down: HashSet::new(),
             ready: HashMap::new(),
             sessions: HashMap::new(),
             counters: HashMap::new(),
@@ -335,14 +378,9 @@ impl<M: MsgSize> SimHub<M> {
     pub fn cut(&self, a: NodeId, b: NodeId) {
         let mut s = self.state.lock().unwrap();
         if s.net.links_mut().set_link(a, b, false) {
-            let session = *s.sessions.get(&pair(a, b)).unwrap_or(&1);
-            for (me, peer) in [(a, b), (b, a)] {
-                s.counters.entry(me).or_default().sessions_dropped += 1;
-                s.ready
-                    .entry(me)
-                    .or_default()
-                    .push_back(LinkEvent::SessionDropped { peer, session });
-            }
+            let session = s.session(a, b);
+            s.tell(a, LinkEvent::SessionDropped { peer: b, session });
+            s.tell(b, LinkEvent::SessionDropped { peer: a, session });
         }
     }
 
@@ -351,18 +389,7 @@ impl<M: MsgSize> SimHub<M> {
     pub fn heal(&self, a: NodeId, b: NodeId) {
         let mut s = self.state.lock().unwrap();
         if s.net.links_mut().set_link(a, b, true) {
-            let session = {
-                let e = s.sessions.entry(pair(a, b)).or_insert(0);
-                *e += 1;
-                *e
-            };
-            for (me, peer) in [(a, b), (b, a)] {
-                s.counters.entry(me).or_default().sessions_established += 1;
-                s.ready
-                    .entry(me)
-                    .or_default()
-                    .push_back(LinkEvent::SessionEstablished { peer, session });
-            }
+            s.establish(a, b);
         }
     }
 
@@ -372,11 +399,37 @@ impl<M: MsgSize> SimHub<M> {
         self.state.lock().unwrap().net.drop_in_flight_between(a, b);
     }
 
-    /// Simulate a node crash: lose its in-flight and undelivered traffic.
+    /// Simulate a node crash: lose its in-flight and undelivered traffic,
+    /// and its sessions — every live peer on an up link gets
+    /// `SessionDropped`, as when a process dies and its sockets close.
     pub fn crash(&self, node: NodeId) {
         let mut s = self.state.lock().unwrap();
         s.net.drop_in_flight_for(node);
         s.ready.entry(node).or_default().clear();
+        if s.down.insert(node) {
+            for peer in s.reachable_peers(node) {
+                let session = s.session(node, peer);
+                s.tell(
+                    peer,
+                    LinkEvent::SessionDropped {
+                        peer: node,
+                        session,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Restart a crashed node. Like a restarted process re-dialing every
+    /// peer, each up link to a live peer gets a new session (previous + 1)
+    /// and both sides are told.
+    pub fn recover(&self, node: NodeId) {
+        let mut s = self.state.lock().unwrap();
+        if s.down.remove(&node) {
+            for peer in s.reachable_peers(node) {
+                s.establish(node, peer);
+            }
+        }
     }
 
     /// Direct access to the underlying network (stats, link table,
@@ -509,5 +562,34 @@ mod tests {
         // Double heal is a no-op: no duplicate session events.
         hub.heal(1, 2);
         assert!(l2.poll().is_empty());
+    }
+
+    #[test]
+    fn crash_drops_peer_sessions_and_recovery_opens_new_ones() {
+        let hub = hub();
+        let mut l: Vec<SimLink<Ping>> = (1..=3).map(|p| hub.link(p)).collect();
+        let dropped = |peer, session| LinkEvent::SessionDropped { peer, session };
+        let up = |peer, session| LinkEvent::SessionEstablished { peer, session };
+        hub.cut(1, 3); // a cut link has no session to drop or reopen
+        l.iter_mut().for_each(|l| drop(l.poll()));
+
+        hub.crash(2);
+        assert_eq!(l[0].poll(), vec![dropped(2, 1)]);
+        assert_eq!(l[2].poll(), vec![dropped(2, 1)]);
+        assert!(l[1].poll().is_empty(), "the crashed node hears nothing");
+        hub.crash(1);
+        hub.crash(1);
+        assert!(l[2].poll().is_empty(), "1's one live peer has a cut link");
+
+        // A restart re-dials every live peer it has a link to.
+        hub.recover(2);
+        assert_eq!(l[1].poll(), vec![up(3, 2)]);
+        assert_eq!(l[2].poll(), vec![up(2, 2)]);
+        hub.recover(1);
+        assert_eq!(l[0].poll(), vec![up(2, 2)]);
+        assert_eq!(l[1].poll(), vec![up(1, 2)]);
+        assert!(l[2].poll().is_empty());
+        hub.recover(1);
+        assert!(l.iter_mut().all(|l| l.poll().is_empty()), "already up");
     }
 }

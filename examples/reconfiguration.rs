@@ -53,14 +53,14 @@ fn main() {
     for v in 0..1_000u64 {
         servers[leader].propose(v).expect("propose");
     }
-    while servers[..3].iter().any(|s| s.log().len() < 1_000) {
+    while servers[..3].iter().any(|s| s.decided_len() < 1_000) {
         step(&mut servers, &mut net);
     }
     println!(
         "configuration 1 = {:?}, leader = server {}, history = {} entries",
         initial,
         leader + 1,
-        servers[leader].log().len()
+        servers[leader].decided_len()
     );
 
     // Replace server 1 with server 4 (keep the leader).
@@ -76,12 +76,12 @@ fn main() {
     }
 
     let start = net.now();
-    while servers[3].role() != ServerRole::Active || servers[3].log().len() < 1_010 {
+    while servers[3].role() != ServerRole::Active || servers[3].decided_len() < 1_010 {
         step(&mut servers, &mut net);
     }
     println!(
         "server 4 migrated {} entries and joined configuration {} after {} ms",
-        servers[3].log().len(),
+        servers[3].decided_len(),
         servers[3].config_id(),
         (net.now() - start) / 1_000
     );
@@ -89,10 +89,10 @@ fn main() {
     // The migrated log matches the original exactly, including the
     // buffered proposals.
     let expected: Vec<u64> = (0..1_010).collect();
-    assert_eq!(servers[3].log(), &expected[..]);
+    assert_eq!(servers[3].log().copied().collect::<Vec<u64>>(), expected);
     println!(
         "ok: server 1 retired, server 4 active in c_{}, log intact ({} entries)",
         servers[3].config_id(),
-        servers[3].log().len()
+        servers[3].decided_len()
     );
 }
